@@ -8,14 +8,13 @@ from .errors import (BarrierError, BracketError, EmptyRegionError,
                      OverflowGuardError, QuadratureError, RangeExceededError,
                      SingularSystemError, TailBoundError,
                      TailEpsUnreachableError)
-from .grunwald import GrunwaldCoeffs, compute_coeffs, tail_sum, verify_coeffs_cauchy
+from .grunwald import GrunwaldCoeffs, compute_coeffs, verify_coeffs_cauchy
 from .ratemat import (ALL_PAIRS, BoundaryPair, RateMatrix, build_restricted,
                       build_stopped, ergodic_limit_z, landing_law,
                       mean_absorption, resolvent_transpose_e, semigroup_row,
                       stationary_interior, stopped_resolvent_profile,
                       validity_report)
-from .symbol import (LaplaceExponent, LevyMeasureSpec, psi_eval, psi_prime,
-                     varphi_eval, varphi_inverse)
+from .symbol import LaplaceExponent, LevyMeasureSpec
 
 from . import mc, paths, scale  # noqa: E402  (submodule access)
 

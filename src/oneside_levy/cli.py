@@ -143,8 +143,7 @@ def run_simulate(cfg: ExperimentConfig, out: Path, fmt: str) -> ComparisonReport
     return rep
 
 
-def run_semigroup(cfg: ExperimentConfig, out: Path,
-                  threads: int = 1) -> ComparisonReport:
+def run_semigroup(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
     n = int(cfg.require("n"))
     bc = ratemat.BoundaryPair.from_label(str(cfg.require("bc")))
     times = [float(t) for t in cfg.as_list("times")]
@@ -301,23 +300,23 @@ def run_j1(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
 
 
 _RUNNERS = {
-    "coeffs": lambda cfg, out, fmt, th: run_coeffs(cfg, out),
-    "matrix": lambda cfg, out, fmt, th: run_matrix(cfg, out),
-    "validate": lambda cfg, out, fmt, th: run_validate(cfg, out),
-    "simulate": lambda cfg, out, fmt, th: run_simulate(cfg, out, fmt),
-    "semigroup": lambda cfg, out, fmt, th: run_semigroup(cfg, out, th),
-    "scale": lambda cfg, out, fmt, th: run_scale(cfg, out),
-    "resolvent": lambda cfg, out, fmt, th: run_resolvent(cfg, out),
-    "exit": lambda cfg, out, fmt, th: run_exit(cfg, out),
-    "convergence": lambda cfg, out, fmt, th: run_convergence(cfg, out),
-    "j1": lambda cfg, out, fmt, th: run_j1(cfg, out),
+    "coeffs": lambda cfg, out, fmt: run_coeffs(cfg, out),
+    "matrix": lambda cfg, out, fmt: run_matrix(cfg, out),
+    "validate": lambda cfg, out, fmt: run_validate(cfg, out),
+    "simulate": run_simulate,
+    "semigroup": lambda cfg, out, fmt: run_semigroup(cfg, out),
+    "scale": lambda cfg, out, fmt: run_scale(cfg, out),
+    "resolvent": lambda cfg, out, fmt: run_resolvent(cfg, out),
+    "exit": lambda cfg, out, fmt: run_exit(cfg, out),
+    "convergence": lambda cfg, out, fmt: run_convergence(cfg, out),
+    "j1": lambda cfg, out, fmt: run_j1(cfg, out),
 }
 
 
-def run_experiment(cfg: ExperimentConfig, out: Path, fmt: str = "csv",
-                   threads: int = 1) -> ComparisonReport:
+def run_experiment(cfg: ExperimentConfig, out: Path,
+                   fmt: str = "csv") -> ComparisonReport:
     out.mkdir(parents=True, exist_ok=True)
-    rep = _RUNNERS[cfg.kind](cfg, out, fmt, threads)
+    rep = _RUNNERS[cfg.kind](cfg, out, fmt)
     rep.write(out / f"report_{cfg.kind}.json")
     return rep
 
@@ -331,7 +330,7 @@ def run_suite(directory, out: Path, fmt: str = "csv",
     def one(path):
         cfg = ExperimentConfig(load_config(path))
         sub = out / path.stem
-        rep = run_experiment(cfg, sub, fmt, 1)
+        rep = run_experiment(cfg, sub, fmt)
         return path.name, rep.all_pass
 
     if threads > 1:
@@ -383,7 +382,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = ExperimentConfig(raw)
-        rep = run_experiment(cfg, out, args.format, threads)
+        rep = run_experiment(cfg, out, args.format)
         return 0 if rep.all_pass else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -36,7 +36,6 @@ class GrunwaldCoeffs:
     g: np.ndarray
     tail: np.ndarray
     j_max: int
-    tail_mass_bound: float
 
     def __post_init__(self):
         scale = abs(self.g[1])
@@ -76,8 +75,7 @@ def compute_coeffs(exp: LaplaceExponent, h: float, j_max: int) -> GrunwaldCoeffs
     else:
         g = _moment_weights(exp, h, j_max)
     tail = np.concatenate(([0.0], -np.cumsum(g)))
-    return GrunwaldCoeffs(h=h, g=g, tail=tail, j_max=j_max,
-                          tail_mass_bound=abs(float(tail[-1])))
+    return GrunwaldCoeffs(h=h, g=g, tail=tail, j_max=j_max)
 
 
 def _binomial_weights(alpha: float, lam: float, h: float, j_max: int,
@@ -125,10 +123,6 @@ def _moment_weights(exp: LaplaceExponent, h: float, j_max: int) -> np.ndarray:
     return g
 
 
-def tail_sum(c: GrunwaldCoeffs, j: int) -> float:
-    return c.tail_sum(j)
-
-
 def verify_coeffs_cauchy(exp: LaplaceExponent, h: float, j_max: int,
                          radius: float, n_nodes: int | None = None) -> np.ndarray:
     """Independent weight extraction by discrete Fourier inversion.
@@ -147,42 +141,10 @@ def verify_coeffs_cauchy(exp: LaplaceExponent, h: float, j_max: int,
             f"{n_nodes} circle nodes for {j_max + 1} coefficients invites aliasing",
             stacklevel=2)
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    samples = np.array([_psi_complex(exp, (1.0 - radius * cmath.exp(1j * t)) / h)
+    samples = np.array([exp.psi((1.0 - radius * cmath.exp(1j * t)) / h)
                         for t in theta])
     coef = np.fft.fft(samples) / n_nodes
     j = np.arange(j_max + 1)
     # undersampled calls wrap around (that is the aliasing warned about)
     picked = np.take(coef, j, mode="wrap")
     return picked.real * radius ** (-j.astype(float))
-
-
-def _psi_complex(exp: LaplaceExponent, s: complex) -> complex:
-    m = exp.measure
-    if m.kind == "stable":
-        return s ** m.alpha
-    if m.kind == "tempered_stable":
-        a, lam = m.alpha, m.lam
-        if lam == 0.0:
-            return s ** a
-        return (s + lam) ** a - lam ** a - a * lam ** (a - 1.0) * s
-
-    def part(fn):
-        def compensated(y):
-            u = s * y
-            if abs(u) < 1e-4:
-                w = u * u * (0.5 - u / 6.0 + u * u / 24.0)
-            else:
-                w = cmath.exp(-u) - 1.0 + u
-            return fn(w * m.density(y))
-
-        def near(t):
-            y = t ** 4
-            return compensated(y) * 4.0 * t ** 3
-
-        v1, _ = integrate.quad(near, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=400)
-        cut = exp._tail_cutoff(max(abs(s), 1.0))
-        v2, _ = integrate.quad(compensated, 1.0, cut, epsabs=abs(v1) * 1e-14,
-                               epsrel=1e-10, limit=400)
-        return v1 + v2
-
-    return complex(part(lambda z: z.real), part(lambda z: z.imag))

@@ -142,7 +142,7 @@ def mapped_process_mc(c: GrunwaldCoeffs, bc: BoundaryPair, n: int, i0: int,
         rng, ladder_rng = _block_rngs(seed, bi)
         out = _run_block(size, rng, ladder_rng, bc, n, i0, probes,
                          collect_absorption, disp, cum, rate,
-                         exc_budget, reentry_cum, counts)
+                         exc_budget, reentry_cum)
         block_counts, block_times, block_diag = out
         counts += block_counts
         if collect_absorption:
@@ -153,7 +153,7 @@ def mapped_process_mc(c: GrunwaldCoeffs, bc: BoundaryPair, n: int, i0: int,
 
 
 def _run_block(size, rng, ladder_rng, bc, n, i0, probes, collect_absorption,
-               disp, cum, rate, exc_budget, reentry_cum, _counts_proto):
+               disp, cum, rate, exc_budget, reentry_cum):
     n_probes = len(probes)
     pos = np.full(size, i0, dtype=np.int64)
     below = np.zeros(size, dtype=bool)

@@ -3,7 +3,13 @@
 The restricted chain lives on states x_i = -1 + i*h, i = 0..n+1, h = 2/(n+1),
 with absorbing end states.  Interior rows carry the free weights G_{j-i+1};
 the first and last interior rows are rewritten according to the boundary pair
-(kill D, fast-forward N, reflect N*).  The module also provides the
+(kill D, fast-forward N, reflect N*).  Under the pair ND a re-entry from
+the left boundary that lands beyond the right end is killed, so the corner
+entry Q[1, n+1] collects sum_{j>n} T_j.  Because the weights satisfy
+sum_k G_k = psi(0) = 0 and sum_k k G_k = -psi'(0)/h = 0, that infinite sum
+equals the finite sum_{k<n} (n-k) G_k = -(T_1 + ... + T_n), which holds for
+every symbol and needs no weight beyond those of the interior rows
+(j_max >= n+2).  The module also provides the
 half-line matrix of the chain stopped on its first visit to the upper lattice,
 resolvent solves against its transpose, the vanishing-discount limit of those
 resolvents, matrix semigroups via uniformization, stationary vectors and mean
@@ -18,8 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (GridMismatchError, NonUniqueError, SingularSystemError,
-                     TailBoundError)
+from .errors import GridMismatchError, NonUniqueError, SingularSystemError
 from .grunwald import GrunwaldCoeffs
 from .symbol import LaplaceExponent
 
@@ -89,6 +94,11 @@ def build_restricted(c: GrunwaldCoeffs, n: int, bc: BoundaryPair) -> RateMatrix:
     Row 1 uses the left-boundary weights, column n and the last column use
     the right-boundary weights; rows 0 and n+1 are absorbing.  Requires
     c.h = 2/(n+1) and j_max >= n + 2.
+
+    The ND corner Q[1, n+1] = sum_{j>n} T_j is evaluated through the exact
+    identity sum_{j>n} T_j = sum_{k<n} (n-k) G_k = -(T_1 + ... + T_n).  It
+    rests on psi(0) = 0 (sum_k G_k = 0) and psi'(0) = 0 (sum_k k G_k = 0),
+    so no series remainder is estimated and j_max >= n + 2 suffices.
     """
     if n < 3:
         raise ValueError(f"need at least 3 interior points, got n={n}")
@@ -126,7 +136,7 @@ def build_restricted(c: GrunwaldCoeffs, n: int, bc: BoundaryPair) -> RateMatrix:
     if bc.right == "D":
         Q[1, n] = b_l[n - 1]
         if bc.left == "N":
-            Q[1, n + 1] = _tail_of_tails(c, n)
+            Q[1, n + 1] = -float(np.sum(T[1: n + 1]))
         else:
             Q[1, n + 1] = T[n + 1]
     else:
@@ -135,49 +145,6 @@ def build_restricted(c: GrunwaldCoeffs, n: int, bc: BoundaryPair) -> RateMatrix:
     # single-division node formula: exact +-1.0 at the end states
     grid = (2.0 * np.arange(n + 2) - (n + 1)) / (n + 1)
     return RateMatrix(Q=Q, h=h, bc=bc, n=n, grid=grid, coeffs=c)
-
-
-def _tail_of_tails(c: GrunwaldCoeffs, n: int) -> float:
-    """sum_{j>n} T_j, the corner entry that routes deep re-entries to killing.
-
-    Exact binomial closed form for (tempered) stable weights; otherwise the
-    stored tails are summed and the geometric-ratio remainder must stay below
-    the row-sum tolerance.
-    """
-    # The closed form needs alpha; recover it from the defining ratios, which
-    # identify binomial weights exactly: G_2/G_1 = (1-alpha)/2 for lam = 0.
-    ratio = c.g[2] / c.g[1]
-    alpha = 1.0 - 2.0 * ratio
-    scale = c.g[0] * 1.0  # h^-alpha for a pure stable family
-    if _is_stable_family(c, alpha):
-        m = n - 1
-        b = 1.0
-        for i in range(1, m + 1):
-            b *= (alpha - 2.0 - i + 1.0) / i
-        return scale * ((-1.0) ** (n + 1)) * b
-    partial = float(np.sum(c.tail[n + 1: c.j_max + 2]))
-    budget = ROW_SUM_RTOL * abs(c.g[1])
-    t_last, t_prev = abs(c.tail[c.j_max + 1]), abs(c.tail[c.j_max])
-    if t_last <= 0.1 * budget or t_prev == 0.0:
-        return partial            # tails at the roundoff floor already
-    r = t_last / t_prev
-    remainder = t_last * r / (1.0 - r) if r < 1.0 else math.inf
-    if remainder > budget:
-        raise TailBoundError(
-            f"tail remainder estimate {remainder:g} exceeds the row-sum budget; "
-            "increase j_max")
-    return partial
-
-
-def _is_stable_family(c: GrunwaldCoeffs, alpha: float) -> bool:
-    if not (1.0 < alpha < 2.0):
-        return False
-    w = c.g[0]
-    for j in range(min(6, c.j_max)):
-        w *= (j - alpha) / (j + 1.0)
-        if abs(w - c.g[j + 1]) > 1e-10 * abs(c.g[1]):
-            return False
-    return True
 
 
 def build_stopped(c: GrunwaldCoeffs, m_below: int, k_above: int) -> RateMatrix:

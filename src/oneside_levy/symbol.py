@@ -18,6 +18,7 @@ chain.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -110,11 +111,17 @@ class LaplaceExponent:
 
     # -- psi and psi' ------------------------------------------------------
 
-    def psi(self, xi: float) -> float:
-        if xi < 0.0:
-            raise ValueError(f"xi must be >= 0, got {xi}")
-        if xi == 0.0:
-            return 0.0
+    def psi(self, xi: float | complex) -> float | complex:
+        """psi at real xi >= 0, or at complex xi on the principal branch.
+
+        Complex arguments serve the Cauchy-circle oracle of the generator
+        weights (:func:`grunwald.verify_coeffs_cauchy`).
+        """
+        if not isinstance(xi, complex):
+            if xi < 0.0:
+                raise ValueError(f"xi must be >= 0, got {xi}")
+            if xi == 0.0:
+                return 0.0
         m = self.measure
         if m.kind == "stable":
             return xi ** m.alpha
@@ -157,29 +164,22 @@ class LaplaceExponent:
         self._quad_guard(val, err)
         return xi * xi * val
 
-    def _psi_quad(self, xi: float) -> float:
+    def _psi_quad(self, xi: float | complex) -> float | complex:
         m = self.measure
+        exp_ = cmath.exp if isinstance(xi, complex) else math.exp
 
         def compensated(y):
             # exp(-u)-1+u loses all digits for small u; switch to the series.
             u = xi * y
-            if u < 1e-4:
+            if abs(u) < 1e-4:
                 return u * u * (0.5 - u / 6.0 + u * u / 24.0) * m.density(y)
-            return (math.exp(-u) - 1.0 + u) * m.density(y)
+            return (exp_(-u) - 1.0 + u) * m.density(y)
 
-        # Substitution y = t^4 flattens an integrable y^(-1-alpha) singularity
-        # at 0 for every alpha < 2.
-        def near(t):
-            y = t ** 4
-            return compensated(y) * 4.0 * t ** 3
-
-        v1, e1 = integrate.quad(near, 0.0, 1.0, epsabs=0.0,
-                                epsrel=self.quad_rel_tol, limit=400)
-        cut = self._tail_cutoff(xi)
-        v2, e2 = integrate.quad(compensated, 1.0, cut, epsabs=abs(v1) * 1e-14,
-                                epsrel=self.quad_rel_tol, limit=400)
-        self._quad_guard(v1 + v2, e1 + e2)
-        return v1 + v2
+        if isinstance(xi, complex):
+            return complex(
+                self._integrate(lambda y: compensated(y).real, abs(xi)),
+                self._integrate(lambda y: compensated(y).imag, abs(xi)))
+        return self._integrate(compensated, xi)
 
     def _psi_prime_quad(self, xi: float) -> float:
         m = self.measure
@@ -192,14 +192,23 @@ class LaplaceExponent:
                 g = 1.0 - math.exp(-u)
             return y * g * m.density(y)
 
+        return self._integrate(integrand, xi)
+
+    def _integrate(self, f: Callable[[float], float], xi: float) -> float:
+        """Integral over (0, inf) of a psi or psi' integrand f at argument xi.
+
+        xi (the modulus, for complex arguments) sets the tail cutoff.
+        """
+        # Substitution y = t^4 flattens an integrable y^(-1-alpha) singularity
+        # at 0 for every alpha < 2.
         def near(t):
             y = t ** 4
-            return integrand(y) * 4.0 * t ** 3
+            return f(y) * 4.0 * t ** 3
 
         v1, e1 = integrate.quad(near, 0.0, 1.0, epsabs=0.0,
                                 epsrel=self.quad_rel_tol, limit=400)
         cut = self._tail_cutoff(xi)
-        v2, e2 = integrate.quad(integrand, 1.0, cut, epsabs=abs(v1) * 1e-14,
+        v2, e2 = integrate.quad(f, 1.0, cut, epsabs=abs(v1) * 1e-14,
                                 epsrel=self.quad_rel_tol, limit=400)
         self._quad_guard(v1 + v2, e1 + e2)
         return v1 + v2
@@ -280,21 +289,3 @@ class LaplaceExponent:
         if abs(self.varphi(h, b) - y) > tol:
             raise BracketError(f"varphi inverse did not converge at y={y:g}")
         return b
-
-
-# Operation-style wrappers; the methods above are the primary interface.
-
-def psi_eval(exp: LaplaceExponent, xi: float) -> float:
-    return exp.psi(xi)
-
-
-def psi_prime(exp: LaplaceExponent, xi: float) -> float:
-    return exp.psi_prime(xi)
-
-
-def varphi_eval(exp: LaplaceExponent, h: float, beta: float) -> float:
-    return exp.varphi(h, beta)
-
-
-def varphi_inverse(exp: LaplaceExponent, h: float, y: float) -> float:
-    return exp.varphi_inverse(h, y)

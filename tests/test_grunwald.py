@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oneside_levy.grunwald import compute_coeffs, tail_sum, verify_coeffs_cauchy
+from oneside_levy.grunwald import compute_coeffs, verify_coeffs_cauchy
 from oneside_levy.symbol import LaplaceExponent, LevyMeasureSpec
 
 from test_symbol import tempered_custom
@@ -39,15 +39,15 @@ def test_first_moment_identity(coeffs_h1, binom_oracle):
 
 
 def test_tail_values(coeffs_h1, binom_oracle):
-    assert tail_sum(coeffs_h1, 0) == 0.0
-    assert tail_sum(coeffs_h1, 2) == pytest.approx(0.5, rel=1e-14)
+    assert coeffs_h1.tail_sum(0) == 0.0
+    assert coeffs_h1.tail_sum(2) == pytest.approx(0.5, rel=1e-14)
     # partial-sum identity T_j = (-1)^j binom(alpha-1, j-1), checked against
     # direct summation of the weights
     for j in (1, 2, 5, 17, 40):
         expected = (-1.0) ** j * binom_oracle(0.5, j - 1)
-        assert tail_sum(coeffs_h1, j) == pytest.approx(expected, rel=1e-12)
+        assert coeffs_h1.tail_sum(j) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(IndexError):
-        tail_sum(coeffs_h1, coeffs_h1.j_max + 2)
+        coeffs_h1.tail_sum(coeffs_h1.j_max + 2)
 
 
 def test_tail_nonnegative_from_two(coeffs_h1):

@@ -1,0 +1,38 @@
+"""Property tests of the restricted generators over random symbols and meshes.
+
+Every boundary pair is built at the depth the command line uses,
+j_max = 4(n+1), and must pass every check of :func:`validity_report`.  For
+the untempered family the ND corner, computed by the finite identity
+sum_{j>n} T_j = sum_{k<n} (n-k) G_k, is compared with its binomial closed
+form G_0 (-1)^(n+1) binom(alpha-2, n-1).
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from oneside_levy.grunwald import compute_coeffs
+from oneside_levy.ratemat import ALL_PAIRS, build_restricted, validity_report
+from oneside_levy.symbol import LaplaceExponent, LevyMeasureSpec
+
+_CHECKS = ("row_sums_ok", "offdiag_ok", "diag_ok", "holding_ok",
+           "absorbing_rows_ok")
+
+
+# alpha - 1 stays above 1e-9: the tempered closed form
+# (xi+lam)^alpha - lam^alpha - alpha lam^(alpha-1) xi vanishes like alpha - 1
+# and cancels to roundoff below about 1e-11, where the leading weights G_0, G_1
+# carry no correct digits and LaplaceExponent rejects the symbol.
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(alpha=st.floats(1.0 + 1e-9, 2.0, exclude_max=True),
+       lam=st.just(0.0) | st.floats(0.0, 3.0),
+       n=st.integers(3, 200))
+def test_all_pairs_valid_at_cli_depth(binom_oracle, alpha, lam, n):
+    exp = LaplaceExponent(LevyMeasureSpec.tempered_stable(alpha, lam))
+    c = compute_coeffs(exp, 2.0 / (n + 1), 4 * (n + 1))
+    for bc in ALL_PAIRS:
+        Q = build_restricted(c, n, bc)
+        v = validity_report(Q)
+        assert all(v[k] for k in _CHECKS), (bc.label, v)
+        if bc.label == "ND" and lam == 0.0:
+            closed = c.g[0] * (-1.0) ** (n + 1) * binom_oracle(alpha - 2.0,
+                                                               n - 1)
+            assert abs(Q.Q[1, n + 1] - closed) <= 1e-12 * abs(c.g[1])

@@ -96,7 +96,6 @@ def test_grid_mismatch_raises(stable_exp, coeffs_h1):
 
 
 def test_tempered_family_builds_all_pairs():
-    from oneside_levy.errors import TailBoundError
     from oneside_levy.symbol import LaplaceExponent, LevyMeasureSpec
 
     texp = LaplaceExponent(LevyMeasureSpec.tempered_stable(1.5, 2.0))
@@ -104,10 +103,29 @@ def test_tempered_family_builds_all_pairs():
     for bc in ALL_PAIRS:
         v = validity_report(build_restricted(c, 9, bc))
         assert v["row_sums_ok"] and v["offdiag_ok"] and v["holding_ok"]
-    # too-shallow tables cannot certify the corner series remainder
-    with pytest.raises(TailBoundError):
-        build_restricted(compute_coeffs(texp, 0.2, 12), 9,
-                         BoundaryPair.from_label("ND"))
+    # the corner is a finite sum over G_0..G_n, so the shallowest admissible
+    # table gives the same ND corner as a deep one
+    nd = BoundaryPair.from_label("ND")
+    shallow = build_restricted(compute_coeffs(texp, 0.2, 12), 9, nd)
+    assert shallow.Q[1, 10] == build_restricted(c, 9, nd).Q[1, 10]
+
+
+@pytest.mark.parametrize("n", [9, 99])
+def test_tempered_nd_corner_at_cli_depth(n):
+    # The CLI builds with j_max = 4(n+1); the corner must match the partial
+    # sum of tails from a table deep enough for the tempered tails to vanish.
+    from oneside_levy.symbol import LaplaceExponent, LevyMeasureSpec
+
+    texp = LaplaceExponent(LevyMeasureSpec.tempered_stable(1.5, 0.5))
+    h = 2.0 / (n + 1)
+    c = compute_coeffs(texp, h, 4 * (n + 1))
+    Q = build_restricted(c, n, BoundaryPair.from_label("ND"))
+    v = validity_report(Q)
+    assert all(v[k] for k in ("row_sums_ok", "offdiag_ok", "diag_ok",
+                              "holding_ok", "absorbing_rows_ok"))
+    deep = compute_coeffs(texp, h, 200_000)
+    partial = float(np.sum(deep.tail[n + 1:]))
+    assert abs(Q.Q[1, n + 1] - partial) <= 1e-10 * abs(c.g[1])
 
 
 def test_stopped_matrix_pattern(coeffs_h1):
