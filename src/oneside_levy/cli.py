@@ -17,6 +17,7 @@ other).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -168,8 +169,7 @@ def run_semigroup(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
             tv = mc.total_variation(counts[j] / n_paths,
                                     ratemat.semigroup_row(Q, t, i0))
             rep.add(f"tv_t={t:g}", tv, 0.0, float(cfg.get("tv_tol", 0.02)))
-        rep.params["mc_diag"] = {"completions": diag.completions,
-                                 "excursions": diag.excursions}
+        rep.params["mc_diag"] = dataclasses.asdict(diag)
     else:
         rep.add_flag("semigroup_rows_written", True)
     return rep

@@ -19,7 +19,10 @@ step by step; only excursions exceeding a step budget fall back to the ladder
 completion, and every completion is counted and reported.
 
 Paths are advanced in lockstep blocks with one counter-based stream per
-block, so results are independent of worker scheduling.
+block, so results are independent of worker scheduling.  One engine serves
+every quantity: the time-t marginals, the absorption times and the first
+transition off the fast-forwarded boundary are stopping rules of the same
+block loop.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .paths import jump_table
 _BLOCK_TAG = 0xB10C
 _LADDER_TAG = 0x1ADD
 _MAX_ITERS = 2_000_000
+_BLOCK_SIZE = 8192          # paths per lockstep block and stream pair
+_TAIL_EPS = 1e-5            # largest jump-tail mass the step table may lump
 
 
 @dataclass
@@ -106,10 +111,8 @@ def mapped_process_mc(c: GrunwaldCoeffs, bc: BoundaryPair, n: int, i0: int,
                       n_paths: int, seed: int,
                       probe_times: Optional[Sequence[float]] = None,
                       collect_absorption: bool = False,
-                      tail_eps: float = 1e-5,
                       exc_budget: int = 2048,
-                      reentry_cum: Optional[np.ndarray] = None,
-                      block_size: int = 8192):
+                      reentry_cum: Optional[np.ndarray] = None):
     """Simulate the boundary-mapped free walk in its own (region) clock.
 
     Returns (counts, times, diag): counts has one row per probe time with the
@@ -125,47 +128,80 @@ def mapped_process_mc(c: GrunwaldCoeffs, bc: BoundaryPair, n: int, i0: int,
     probes = np.asarray(sorted(probe_times), dtype=float)
     if collect_absorption and "D" not in (bc.left, bc.right):
         raise ValueError("absorption sampling needs a killing boundary")
-    if collect_absorption and len(probes):
+    if collect_absorption == bool(len(probes)):
         raise ValueError("collect either probe marginals or absorption times")
-    needs_ladder = bc.left == "N"
-    if needs_ladder and reentry_cum is None:
+    if bc.left == "N" and reentry_cum is None:
         reentry_cum = reentry_table(c)
-    disp, cum = jump_table(c, tail_eps)
-    rate = c.total_rate
+    counts, clock, _, diag = _simulate(c, bc, n, i0, n_paths, seed, probes,
+                                       exc_budget, reentry_cum)
+    return counts, clock if collect_absorption else np.empty(0), diag
 
+
+def first_transition_mc(c: GrunwaldCoeffs, n_samples: int, seed: int,
+                        exc_budget: int = 2048,
+                        reentry_cum: Optional[np.ndarray] = None):
+    """Hold time and landing cell of the left-fast-forwarded walk.
+
+    The walk starts one cell above the barrier and stops at its first move.
+    Returns (holds, landings, diag): holds are the accumulated region times
+    until the mapped path first moves, landings the number of cells gained by
+    that move (>= 1).
+    """
+    if reentry_cum is None:
+        reentry_cum = reentry_table(c)
+    # a right barrier no single move reaches: a step gains at most j_max - 1
+    # cells and a ladder completion lands at most len(reentry_cum) + 1
+    n = max(c.j_max, len(reentry_cum) + 1)
+    _, holds, levels, diag = _simulate(c, BoundaryPair("N", "N"), n, 1,
+                                       n_samples, seed, np.empty(0),
+                                       exc_budget, reentry_cum)
+    return holds, levels - 1, diag
+
+
+def _simulate(c, bc, n, i0, n_paths, seed, probes, exc_budget, reentry_cum):
+    """Run the engine over blocks of _BLOCK_SIZE paths, one stream pair each.
+
+    Returns (counts, clock, level, diag): the probe histograms summed over the
+    blocks, and each path's region clock and level when it stopped.
+    """
+    disp, cum = jump_table(c, _TAIL_EPS)
     counts = np.zeros((len(probes), n + 2), dtype=np.int64)
-    abs_times = []
+    clock = np.empty(n_paths)
+    level = np.empty(n_paths, dtype=np.int64)
     diag = McDiagnostics()
-    n_blocks = (n_paths + block_size - 1) // block_size
-    for bi in range(n_blocks):
-        size = min(block_size, n_paths - bi * block_size)
+    for bi, start in enumerate(range(0, n_paths, _BLOCK_SIZE)):
+        sl = slice(start, min(start + _BLOCK_SIZE, n_paths))
         rng, ladder_rng = _block_rngs(seed, bi)
-        out = _run_block(size, rng, ladder_rng, bc, n, i0, probes,
-                         collect_absorption, disp, cum, rate,
-                         exc_budget, reentry_cum)
-        block_counts, block_times, block_diag = out
+        block_counts, clock[sl], level[sl], block_diag = _run_block(
+            sl.stop - start, rng, ladder_rng, bc, n, i0, probes, disp, cum,
+            c.total_rate, exc_budget, reentry_cum)
         counts += block_counts
-        if collect_absorption:
-            abs_times.append(block_times)
         diag.merge(block_diag)
-    times = np.concatenate(abs_times) if abs_times else np.empty(0)
-    return counts, times, diag
+    return counts, clock, level, diag
 
 
-def _run_block(size, rng, ladder_rng, bc, n, i0, probes, collect_absorption,
-               disp, cum, rate, exc_budget, reentry_cum):
+def _run_block(size, rng, ladder_rng, bc, n, i0, probes, disp, cum, rate,
+               exc_budget, reentry_cum):
+    """Advance one block in lockstep until every path has stopped.
+
+    The stopping rule follows from the inputs: with probe times a path stops
+    once all of them are recorded; otherwise a chain with a killing side runs
+    to absorption, and one without stops at its first move, once the path is
+    in the region at a level other than i0.  Absorption stops a path in every
+    case.  Returns (counts, clock, pos, diag).
+    """
     n_probes = len(probes)
     pos = np.full(size, i0, dtype=np.int64)
     below = np.zeros(size, dtype=bool)
     exc_steps = np.zeros(size, dtype=np.int64)
     clock = np.zeros(size)
-    absorbed_at = np.full(size, np.nan)
     recorded = np.zeros((n_probes, size), dtype=bool)
     counts = np.zeros((n_probes, n + 2), dtype=np.int64)
     done = np.zeros(size, dtype=bool)
     diag = McDiagnostics(n_paths=size)
 
     left, right = bc.left, bc.right
+    first_move = not n_probes and "D" not in (left, right)
 
     def _record_absorbing(mask, state):
         # unrecorded probes necessarily sit at or beyond the absorption time
@@ -175,8 +211,6 @@ def _run_block(size, rng, ladder_rng, bc, n, i0, probes, collect_absorption,
             fresh = mask & ~recorded[j]
             counts[j, state] += int(fresh.sum())
             recorded[j][fresh] = True
-        if collect_absorption:
-            absorbed_at[mask] = clock[mask]
         done[mask] = True
 
     it = 0
@@ -251,101 +285,11 @@ def _run_block(size, rng, ladder_rng, bc, n, i0, probes, collect_absorption,
             pos[reg] = pos2[reg]
 
         if n_probes:
-            fin = recorded.all(axis=0) & ~done
-            done[fin] = True
+            done |= recorded.all(axis=0)
+        elif first_move:
+            done |= ~below & (pos != i0)
     diag.iterations = it
-    times = absorbed_at if collect_absorption else np.empty(0)
-    return counts, times, diag
-
-
-def first_transition_mc(c: GrunwaldCoeffs, n_samples: int, seed: int,
-                        tail_eps: float = 1e-5, exc_budget: int = 2048,
-                        reentry_cum: Optional[np.ndarray] = None,
-                        block_size: int = 8192):
-    """Hold time and landing cell of the left-fast-forwarded walk.
-
-    The walk starts one cell above the barrier.  Returns (holds, landings,
-    diag): holds are the accumulated region times until the mapped path first
-    moves, landings the number of cells gained by that move (>= 1).
-    """
-    if reentry_cum is None:
-        reentry_cum = reentry_table(c)
-    disp, cum = jump_table(c, tail_eps)
-    rate = c.total_rate
-    holds = np.empty(n_samples)
-    lands = np.empty(n_samples, dtype=np.int64)
-    diag = McDiagnostics()
-    n_blocks = (n_samples + block_size - 1) // block_size
-    for bi in range(n_blocks):
-        size = min(block_size, n_samples - bi * block_size)
-        rng, ladder_rng = _block_rngs(seed, bi)
-        h, l, d = _first_transition_block(size, rng, ladder_rng, disp, cum,
-                                          rate, exc_budget, reentry_cum)
-        sl = slice(bi * block_size, bi * block_size + size)
-        holds[sl] = h
-        lands[sl] = l
-        diag.merge(d)
-    return holds, lands, diag
-
-
-def _first_transition_block(size, rng, ladder_rng, disp, cum, rate,
-                            exc_budget, reentry_cum):
-    # state: level 1 = at the boundary cell; below: excursion level <= 0
-    pos = np.ones(size, dtype=np.int64)
-    below = np.zeros(size, dtype=bool)
-    exc_steps = np.zeros(size, dtype=np.int64)
-    hold = np.zeros(size)
-    land = np.zeros(size, dtype=np.int64)
-    done = np.zeros(size, dtype=bool)
-    diag = McDiagnostics(n_paths=size)
-    it = 0
-    while not done.all():
-        it += 1
-        if it > _MAX_ITERS:
-            raise RuntimeError("lockstep simulation exceeded its iteration cap")
-        act = ~done
-        n_act = int(act.sum())
-        diag.events += n_act
-        d = disp[np.searchsorted(cum, rng.random(n_act), side="right")]
-        step = np.zeros(size, dtype=np.int64)
-        step[act] = d
-
-        reg = act & ~below
-        exc = act & below
-        if reg.any():
-            dt = np.zeros(size)
-            dt[reg] = rng.standard_exponential(int(reg.sum())) / rate
-            hold += dt
-
-        pos2 = pos + step
-        if exc.any():
-            exc_steps[exc] += 1
-            over = exc & (pos2 < 1) & (exc_steps >= exc_budget)
-            if over.any():
-                for i in np.flatnonzero(over):
-                    pos2[i] = _ladder_complete(int(pos2[i]), reentry_cum,
-                                               ladder_rng)
-                diag.completions += int(over.sum())
-            reenter = exc & (pos2 >= 1)
-            high = reenter & (pos2 >= 2)
-            land[high] = pos2[high] - 1
-            done[high] = True
-            back = reenter & (pos2 == 1)
-            below[reenter] = False
-            pos[exc] = pos2[exc]
-            pos[back] = 1
-
-        if reg.any():
-            up = reg & (pos2 >= 2)
-            land[up] = pos2[up] - 1
-            done[up] = True
-            down = reg & (pos2 <= 0) & ~done
-            below[down] = True
-            exc_steps[down] = 0
-            diag.excursions += int(down.sum())
-            pos[reg] = pos2[reg]
-    diag.iterations = it
-    return hold, land, diag
+    return counts, clock, pos, diag
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

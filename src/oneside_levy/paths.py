@@ -16,9 +16,8 @@ on this class:
 Epochs may be floats or fractions.Fraction; with fractions every map is exact
 in rational arithmetic, which the pathwise-identity tests rely on.
 
-The module also carries path simulators for the free grid walk and for rate
-matrices, a two-sided bound algorithm for the time-distortion (J1) path
-distance, and value scaling.
+The module also carries a path simulator for the free grid walk, a two-sided
+bound algorithm for the time-distortion (J1) path distance, and value scaling.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import (BarrierError, EmptyRegionError, TailEpsUnreachableError)
 from .grunwald import GrunwaldCoeffs
-from .ratemat import BoundaryPair, RateMatrix
+from .ratemat import BoundaryPair
 
 
 @dataclass(frozen=True)
@@ -413,36 +412,6 @@ def simulate_cp(c: GrunwaldCoeffs, cfg: SimConfig, path_index: int = 0) -> StepP
         else:
             values.append(cfg.x0 + k * c.h)
     return make_step_path(cfg.T, cfg.x0, epochs, values)
-
-
-def simulate_ctmc(Q: RateMatrix, i0: int, cfg: SimConfig,
-                  path_index: int = 0) -> StepPath:
-    """Direct jump-chain simulation of a rate matrix; absorbing rows hold."""
-    if not 0 <= i0 < Q.size:
-        raise IndexError(f"i0={i0} outside the state space")
-    rng = rng_for_path(cfg.seed, path_index)
-    A = Q.Q
-    grid = Q.grid if Q.grid is not None else np.arange(Q.size, dtype=float)
-    rates = -np.diag(A)
-    rows = {}
-    t = 0.0
-    state = i0
-    epochs, values = [], []
-    while True:
-        r = rates[state]
-        if r <= 0.0:
-            break
-        t += rng.exponential(1.0 / r)
-        if t > cfg.T:
-            break
-        if state not in rows:
-            w = A[state].copy()
-            w[state] = 0.0
-            rows[state] = np.cumsum(w / w.sum())
-        state = int(np.searchsorted(rows[state], rng.random(), side="right"))
-        epochs.append(t)
-        values.append(float(grid[state]))
-    return make_step_path(cfg.T, float(grid[i0]), epochs, values)
 
 
 # -- value scaling and path distance -----------------------------------------

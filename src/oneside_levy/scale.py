@@ -225,25 +225,11 @@ class ScaleKit:
         if gvals.shape != (g.m + 1,):
             raise ValueError("g must be sampled on the kit grid")
         norm = float(np.max(np.abs(gvals)))
-        acc = gvals.copy()
         if g.q == 0.0 or norm == 0.0:
             self.last_error_estimate = 0.0
             self.last_n_terms = 0
-            return acc
-        term = gvals
-        wa = g.q * self.W(g.a)
-        kink = g_kink
-        for n in range(1, self.n_ser_max + 1):
-            term = g.q * frac_integral_grid(term, g.dx, g.alpha, kink=kink)
-            kink = None
-            acc += term
-            bound = norm * wa ** n * g.a ** (n - 1) / math.gamma(n)
-            if bound < self.series_tol * norm:
-                self.last_error_estimate = bound
-                self.last_n_terms = n
-                return acc
-        raise NonConvergenceError(
-            f"operator series not below tolerance within {self.n_ser_max} terms")
+            return gvals.copy()
+        return self._series(gvals.copy(), gvals, 1, g_kink, norm)
 
     def Wq_series(self) -> np.ndarray:
         """W_q on the grid through the convolution series (oracle route).
@@ -262,12 +248,21 @@ class ScaleKit:
             self.last_n_terms = 0
             return acc
         term = g.q * x ** (2.0 * a - 1.0) / math.gamma(2.0 * a)
-        acc = acc + term
-        kink: Optional[float] = 2.0 * a - 1.0
-        norm = self.W(g.a)
-        wa = g.q * norm
-        for n in range(2, self.n_ser_max + 1):
-            term = g.q * frac_integral_grid(term, g.dx, a, kink=kink)
+        return self._series(acc + term, term, 2, 2.0 * a - 1.0, self.W(g.a))
+
+    def _series(self, acc: np.ndarray, term: np.ndarray, start: int,
+                kink: Optional[float], norm: float) -> np.ndarray:
+        """Add the series terms n = start, start + 1, ... to acc, in place.
+
+        Term n is q times the fractional integral of term n - 1 (given as
+        term), the first one with the exact-power cell fix for kink.  Stops
+        when the absolute-convergence remainder bound
+        norm (q W(a))^n a^(n-1) / (n-1)! falls below series_tol * norm.
+        """
+        g = self.grid
+        wa = g.q * self.W(g.a)
+        for n in range(start, self.n_ser_max + 1):
+            term = g.q * frac_integral_grid(term, g.dx, g.alpha, kink=kink)
             kink = None
             acc += term
             bound = norm * wa ** n * g.a ** (n - 1) / math.gamma(n)

@@ -64,15 +64,24 @@ def test_simulate_json_and_determinism(tmp_path):
     assert (out1 / "paths.jsonl").read_text() == (out2 / "paths.jsonl").read_text()
 
 
-def test_report_byte_identical_modulo_wall_clock(tmp_path):
-    cfg = write_cfg(tmp_path, "h = 1.0\nj_max = 24\n")
+@pytest.mark.parametrize("command, body", [
+    ("coeffs", "h = 1.0\nj_max = 24\n"),
+    ("semigroup", "n = 9\nbc = ND\ntimes = 0.1, 0.5\npaths = 2000\n"
+                  "tv_tol = 0.1\n"),
+], ids=["coeffs", "semigroup"])
+def test_report_byte_identical_modulo_wall_clock(tmp_path, command, body):
+    cfg = write_cfg(tmp_path, body)
     texts = []
     for name in ("r1", "r2"):
         out = tmp_path / name
-        assert main(["coeffs", "--config", str(cfg), "--out", str(out)]) == 0
-        raw = (out / "report_coeffs.json").read_text()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        raw = (out / f"report_{command}.json").read_text()
         texts.append(re.sub(r'"wall_clock_s": [0-9.]+', '"wall_clock_s": X', raw))
     assert texts[0] == texts[1]
+    if command == "semigroup":
+        diag = json.loads(raw)["params"]["mc_diag"]
+        assert set(diag) == {"n_paths", "completions", "excursions",
+                             "iterations", "events"}
 
 
 def test_scale_and_resolvent_and_exit(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -60,6 +62,49 @@ def test_marginals_deterministic(coeffs, reentry):
     assert not np.array_equal(a, c2)
 
 
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Recorded at these seeds with the two-engine code that preceded the shared
+# block loop (a separate first-transition engine).  9000 paths span two
+# 8192-path blocks.  Only a change of numpy's random streams justifies
+# re-recording them.
+PINNED = {
+    "first transition": (
+        "4e653f38352a47615a69c973efe404435d342d59ecf3260a4d17742589c1f3b4",
+        dict(n_paths=9000, completions=580, excursions=9102,
+             iterations=4102, events=1818174)),
+    "NN marginals": (
+        "2223d20480eee0bf1d985581ab63798ba345130f692fb4c8c35f3f1da727ef88",
+        dict(n_paths=9000, completions=233, excursions=4418,
+             iterations=4119, events=819790)),
+    "ND absorption": (
+        "6ce15ed7fc4ba91b176f1b25adf28e8615ee0681941991d02cc65b69d9424eb8",
+        dict(n_paths=9000, completions=1399, excursions=21993,
+             iterations=6479, events=4611638)),
+}
+
+
+def test_engine_outputs_pinned(coeffs, reentry):
+    holds, lands, d_ft = first_transition_mc(coeffs, 9000, seed=404,
+                                             reentry_cum=reentry)
+    counts, _, d_nn = mapped_process_mc(
+        coeffs, BoundaryPair.from_label("NN"), N, 5, 9000, seed=505,
+        probe_times=(0.1, 0.5), reentry_cum=reentry)
+    _, times, d_nd = mapped_process_mc(
+        coeffs, BoundaryPair.from_label("ND"), N, 5, 9000, seed=606,
+        collect_absorption=True, reentry_cum=reentry)
+    got = {"first transition": (_digest(holds, lands), d_ft),
+           "NN marginals": (_digest(counts), d_nn),
+           "ND absorption": (_digest(times), d_nd)}
+    for key, (digest, diag) in got.items():
+        assert (digest, dataclasses.asdict(diag)) == PINNED[key], key
+
+
 def test_absorption_times_match_matrix_solve(stable_exp, coeffs, reentry):
     bc = BoundaryPair.from_label("ND")
     _, times, diag = mapped_process_mc(coeffs, bc, N, 5, 20_000, seed=99,
@@ -80,6 +125,9 @@ def test_absorption_guard(coeffs):
     with pytest.raises(ValueError):
         mapped_process_mc(coeffs, BoundaryPair.from_label("ND"), N, 5, 10,
                           seed=1, probe_times=(0.1,), collect_absorption=True)
+    with pytest.raises(ValueError):
+        mapped_process_mc(coeffs, BoundaryPair.from_label("ND"), N, 5, 10,
+                          seed=1)
 
 
 def test_first_transition_small(coeffs, reentry):

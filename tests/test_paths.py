@@ -9,9 +9,8 @@ from oneside_levy.paths import (SimConfig, StepPath, above, apply_boundary,
                                 below, between, fast_forward, j1_distance,
                                 jump_table, kill_left, kill_right,
                                 make_step_path, reflect_left, reflect_right,
-                                reflect_two_sided, scale_path, simulate_cp,
-                                simulate_ctmc)
-from oneside_levy.ratemat import BoundaryPair, build_restricted, semigroup_row
+                                reflect_two_sided, scale_path, simulate_cp)
+from oneside_levy.ratemat import BoundaryPair
 from oneside_levy.grunwald import compute_coeffs
 from oneside_levy.mc import total_variation
 
@@ -348,39 +347,6 @@ def test_jump_table_tail_lumping(stable_exp, coeffs_n9):
     shallow = compute_coeffs(stable_exp, 0.2, 24)
     with pytest.raises(TailEpsUnreachableError):
         jump_table(shallow, 1e-6)
-
-
-def test_simulate_ctmc(stable_exp):
-    n = 9
-    c = compute_coeffs(stable_exp, 2.0 / (n + 1), 4 * (n + 1))
-    Q = build_restricted(c, n, BoundaryPair.from_label("DD"))
-    cfg = sim_cfg(T=1.5)
-    # absorbing start stays put
-    p0 = simulate_ctmc(Q, 0, cfg)
-    assert p0.n_jumps == 0 and p0.initial == -1.0
-    # interior holding times look exponential with the right rate
-    waits = []
-    for k in range(800):
-        p = simulate_ctmc(Q, 5, cfg, path_index=k)
-        if p.n_jumps:
-            waits.append(float(p.epochs[0]))
-    waits = np.asarray(waits)
-    # first-jump times are Exp(-G_1) censored at T; compare on the mean of
-    # the uncensored part against the truncated-exponential mean
-    rate = c.total_rate
-    trunc_mean = (1.0 - math.exp(-rate * cfg.T) * (1.0 + rate * cfg.T)) / (
-        rate * (1.0 - math.exp(-rate * cfg.T)))
-    se = waits.std() / math.sqrt(len(waits))
-    assert abs(waits.mean() - trunc_mean) <= 4.0 * se
-    # time-t marginal against the matrix exponential
-    counts = np.zeros(Q.size)
-    t_probe = 0.5
-    for k in range(8000):
-        p = simulate_ctmc(Q, 5, cfg, path_index=k)
-        idx = int(round((p.value_at(t_probe) + 1.0) / Q.h))
-        counts[idx] += 1
-    tv = total_variation(counts / counts.sum(), semigroup_row(Q, t_probe, 5))
-    assert tv < 0.03
 
 
 # -- landing/holding empirics at the boundaries ---------------------------------
