@@ -189,6 +189,8 @@ def run_scale(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
     write_csv(out / "scale.csv", ["x", "W", "Wq", "Zq"], rows)
     rep = ComparisonReport("scale", dict(cfg.raw), cfg.seed)
     zs = kit.Zq_series()
+    rep.params["series_diag"] = {"n_terms": kit.last_n_terms,
+                                 "error_estimate": kit.last_error_estimate}
     # quadrature floor scales with the squared grid spacing
     tol = max(1e-8, 0.3 * kit.grid.dx ** 2)
     rep.add("Zq_series_vs_closed_rel",

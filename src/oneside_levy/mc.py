@@ -19,10 +19,14 @@ step by step; only excursions exceeding a step budget fall back to the ladder
 completion, and every completion is counted and reported.
 
 Paths are advanced in lockstep blocks with one counter-based stream per
-block, so results are independent of worker scheduling.  One engine serves
-every quantity: the time-t marginals, the absorption times and the first
-transition off the fast-forwarded boundary are stopping rules of the same
-block loop.
+block, so results are independent of worker scheduling.  A block holds only
+its live paths, in index order, and drops each path in the iteration it
+stops, so the work per iteration follows the paths still running instead of
+the block size.  Every draw is one call whose values go to the live paths in
+index order, which hands each path the same values as a sweep over the whole
+block would.  One engine serves every quantity: the time-t marginals, the
+absorption times and the first transition off the fast-forwarded boundary
+are stopping rules of the same block loop.
 """
 
 from __future__ import annotations
@@ -126,6 +130,8 @@ def mapped_process_mc(c: GrunwaldCoeffs, bc: BoundaryPair, n: int, i0: int,
     if probe_times is None:
         probe_times = ()
     probes = np.asarray(sorted(probe_times), dtype=float)
+    if not np.all(probes >= 0.0):
+        raise ValueError("probe times must be >= 0")
     if collect_absorption and "D" not in (bc.left, bc.right):
         raise ValueError("absorption sampling needs a killing boundary")
     if collect_absorption == bool(len(probes)):
@@ -185,111 +191,103 @@ def _run_block(size, rng, ladder_rng, bc, n, i0, probes, disp, cum, rate,
     """Advance one block in lockstep until every path has stopped.
 
     The stopping rule follows from the inputs: with probe times a path stops
-    once all of them are recorded; otherwise a chain with a killing side runs
-    to absorption, and one without stops at its first move, once the path is
-    in the region at a level other than i0.  Absorption stops a path in every
-    case.  Returns (counts, clock, pos, diag).
+    once its clock has passed all of them; otherwise a chain with a killing
+    side runs to absorption, and one without stops at its first move, once
+    the path is in the region at a level other than i0.  Absorption stops a
+    path in every case.  Returns (counts, clock, pos, diag).
+
+    The per-path arrays (pos, below, exc_start: the iteration the current
+    excursion began, clock) hold the live paths only, in index order; idx
+    maps them back into the block.  A path that stops writes its clock and
+    level into the outputs and is dropped at the end of that iteration.  The
+    draws of an iteration go to the live paths in index order, so each path
+    gets the values a sweep over the whole block would give it.
+
+    Invariant: a live path has recorded exactly the probes below its clock.
+    So a region step from clock to new clock records the probes p with
+    clock <= p < new clock at the level it leaves, a path stops once its
+    clock is past the last probe, and absorption records the probes at or
+    beyond the clock in the absorbing state.
     """
     n_probes = len(probes)
+    idx = np.arange(size)
     pos = np.full(size, i0, dtype=np.int64)
     below = np.zeros(size, dtype=bool)
-    exc_steps = np.zeros(size, dtype=np.int64)
+    exc_start = np.zeros(size, dtype=np.int64)
     clock = np.zeros(size)
-    recorded = np.zeros((n_probes, size), dtype=bool)
     counts = np.zeros((n_probes, n + 2), dtype=np.int64)
-    done = np.zeros(size, dtype=bool)
+    out_clock = np.empty(size)
+    out_pos = np.empty(size, dtype=np.int64)
     diag = McDiagnostics(n_paths=size)
 
     left, right = bc.left, bc.right
     first_move = not n_probes and "D" not in (left, right)
-
-    def _record_absorbing(mask, state):
-        # unrecorded probes necessarily sit at or beyond the absorption time
-        if not mask.any():
-            return
-        for j in range(n_probes):
-            fresh = mask & ~recorded[j]
-            counts[j, state] += int(fresh.sum())
-            recorded[j][fresh] = True
-        done[mask] = True
+    ceil = n + 1 if right == "D" else n
+    probe_col = probes[:, None]
 
     it = 0
-    while not done.all():
+    while len(idx):
         it += 1
         if it > _MAX_ITERS:
             raise RuntimeError("lockstep simulation exceeded its iteration cap")
-        act = ~done
-        n_act = int(act.sum())
-        diag.events += n_act
-        u = rng.random(n_act)
-        d = disp[np.searchsorted(cum, u, side="right")]
-        step = np.zeros(size, dtype=np.int64)
-        step[act] = d
-
-        exc = act & below
-        reg = act & ~below
+        live = len(idx)
+        diag.events += live
+        pos2 = pos + disp[cum.searchsorted(rng.random(live), side="right")]
+        n_reg = live - np.count_nonzero(below)
 
         # region paths: advance the clock, record probes crossed
-        if reg.any():
-            dt = np.zeros(size)
-            dt[reg] = rng.standard_exponential(int(reg.sum())) / rate
+        if n_reg:
+            dt = np.zeros(live)
+            dt[~below] = rng.standard_exponential(n_reg) / rate
             new_clock = clock + dt
-            for j in range(n_probes):
-                hit = reg & ~recorded[j] & (clock <= probes[j]) & (probes[j] < new_clock)
-                if hit.any():
-                    counts[j] += np.bincount(pos[hit], minlength=n + 2)
-                    recorded[j][hit] = True
+            if n_probes:
+                hit = (clock <= probe_col) & (probe_col < new_clock)
+                for j in hit.any(axis=1).nonzero()[0]:
+                    counts[j] += np.bincount(pos[hit[j]], minlength=n + 2)
             clock = new_clock
 
-        pos2 = pos + step
+        # below-barrier excursions (left fast-forwarding only): one begun at
+        # iteration s has taken it - s steps; past the budget, a ladder
+        # completion draws its re-entry level
+        low = pos2 < 1
+        if n_reg < live:
+            deep = below & low & (exc_start <= it - exc_budget)
+            for i in deep.nonzero()[0]:
+                pos2[i] = _ladder_complete(int(pos2[i]), reentry_cum,
+                                           ladder_rng)
+                low[i] = False
+                diag.completions += 1
 
-        # below-barrier excursions (left fast-forwarding only)
-        if exc.any():
-            exc_steps[exc] += 1
-            over_budget = exc & (pos2 < 1) & (exc_steps >= exc_budget)
-            if over_budget.any():
-                for i in np.flatnonzero(over_budget):
-                    pos2[i] = _ladder_complete(int(pos2[i]), reentry_cum,
-                                               ladder_rng)
-                diag.completions += int(over_budget.sum())
-            reenter = exc & (pos2 >= 1)
-            if reenter.any():
-                below[reenter] = False
-                if right == "D":
-                    killed = reenter & (pos2 >= n + 1)
-                    pos2[killed] = n + 1
-                    _record_absorbing(killed, n + 1)
-                else:
-                    pos2[reenter & (pos2 >= n + 1)] = n
-            pos[exc] = pos2[exc]
+        # boundary rules: a step goes down one cell at most, so a path below
+        # 1 sits at 0, where left D absorbs, Nstar clamps to 1 and left N
+        # starts an excursion; beyond n, right D absorbs at n+1 and N clamps
+        if left == "Nstar":
+            np.maximum(pos2, 1, out=pos2)
+        pos = np.minimum(pos2, ceil, out=pos2)
+        if left == "N":
+            fresh = low > below
+            exc_start[fresh] = it
+            diag.excursions += int(np.count_nonzero(fresh))
+            below = low
 
-        # region moves with the boundary rules
-        if reg.any():
-            hit_low = reg & (pos2 <= 0)
-            if left == "Nstar":
-                pos2[hit_low] = 1
-            elif left == "D":
-                pos2[hit_low] = 0
-                _record_absorbing(hit_low, 0)
-            else:  # N: start a below-barrier excursion at level 0
-                start_exc = hit_low & ~done
-                below[start_exc] = True
-                exc_steps[start_exc] = 0
-                diag.excursions += int(start_exc.sum())
-            hit_high = reg & (pos2 >= n + 1) & ~done
-            if right == "D":
-                pos2[hit_high] = n + 1
-                _record_absorbing(hit_high, n + 1)
-            else:
-                pos2[hit_high] = n
-            pos[reg] = pos2[reg]
-
-        if n_probes:
-            done |= recorded.all(axis=0)
-        elif first_move:
-            done |= ~below & (pos != i0)
+        if first_move:
+            stop = ~below & (pos != i0)
+        else:
+            stop = low | (pos > n) if left == "D" else pos > n
+            if n_probes:
+                if np.count_nonzero(stop):
+                    for j, late in enumerate(clock[stop] <= probe_col):
+                        counts[j] += np.bincount(pos[stop][late],
+                                                 minlength=n + 2)
+                stop |= clock > probes[-1]
+        if np.count_nonzero(stop):
+            out_clock[idx[stop]] = clock[stop]
+            out_pos[idx[stop]] = pos[stop]
+            keep = ~stop
+            idx, pos, below, exc_start, clock = (
+                a[keep] for a in (idx, pos, below, exc_start, clock))
     diag.iterations = it
-    return counts, clock, pos, diag
+    return counts, out_clock, out_pos, diag
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
 from scipy import integrate, optimize
 
 from .errors import BracketError, InvalidMeasureError, QuadratureError
@@ -129,7 +130,8 @@ class LaplaceExponent:
             a, lam = m.alpha, m.lam
             if lam == 0.0:
                 return xi ** a
-            return (xi + lam) ** a - lam ** a - a * lam ** (a - 1.0) * xi
+            p, d = self._tempered_factors(xi)
+            return (xi + lam) * p * d - (a - 1.0) * xi * lam ** (a - 1.0)
         return self._psi_quad(xi)
 
     def psi_prime(self, xi: float) -> float:
@@ -143,8 +145,30 @@ class LaplaceExponent:
             a, lam = m.alpha, m.lam
             if lam == 0.0:
                 return a * xi ** (a - 1.0)
-            return a * ((xi + lam) ** (a - 1.0) - lam ** (a - 1.0))
+            p, d = self._tempered_factors(xi)
+            return a * p * d
         return self._psi_prime_quad(xi)
+
+    def _tempered_factors(self, xi: float | complex):
+        """P = (xi+lam)^(a-1) and D = 1 - (1 + xi/lam)^(1-a) of a tempered symbol.
+
+        psi'(xi)/a = (xi+lam)^(a-1) - lam^(a-1) = P D, and psi(xi) =
+        (xi+lam) P D - (a-1) xi lam^(a-1).  The symbol vanishes like a - 1 as
+        a -> 1+; D = -expm1(-(a-1) log(1 + xi/lam)) keeps that factor exact
+        where the difference of powers would cancel it to roundoff.  The
+        logarithm takes log1p of a small real xi/lam, and never forms the
+        ratio when it could overflow (a tiny lam); |D| stays of order 1, so
+        no factor overflows either.
+        """
+        a, lam = self.measure.alpha, self.measure.lam
+        cx = isinstance(xi, complex)
+        if abs(xi) > lam:
+            log_ratio = (cmath.log if cx else math.log)(xi + lam) - math.log(lam)
+        else:
+            log_ratio = cmath.log(1.0 + xi / lam) if cx else math.log1p(xi / lam)
+        y = -(a - 1.0) * log_ratio
+        d = -complex(np.expm1(y)) if cx else -math.expm1(y)
+        return (xi + lam) ** (a - 1.0), d
 
     def psi_via_integrated_tail(self, xi: float) -> float:
         """Alternative representation psi(xi) = xi^2 * int_0^inf e^(-xi x) Phi(x) dx.

@@ -68,7 +68,8 @@ def test_simulate_json_and_determinism(tmp_path):
     ("coeffs", "h = 1.0\nj_max = 24\n"),
     ("semigroup", "n = 9\nbc = ND\ntimes = 0.1, 0.5\npaths = 2000\n"
                   "tv_tol = 0.1\n"),
-], ids=["coeffs", "semigroup"])
+    ("scale", "a = 1.0\nq = 1.0\nm = 2000\n"),
+], ids=["coeffs", "semigroup", "scale"])
 def test_report_byte_identical_modulo_wall_clock(tmp_path, command, body):
     cfg = write_cfg(tmp_path, body)
     texts = []
@@ -82,6 +83,10 @@ def test_report_byte_identical_modulo_wall_clock(tmp_path, command, body):
         diag = json.loads(raw)["params"]["mc_diag"]
         assert set(diag) == {"n_paths", "completions", "excursions",
                              "iterations", "events"}
+    if command == "scale":
+        diag = json.loads(raw)["params"]["series_diag"]
+        assert set(diag) == {"n_terms", "error_estimate"}
+        assert diag["n_terms"] > 0 and 0.0 < diag["error_estimate"] < 1e-12
 
 
 def test_scale_and_resolvent_and_exit(tmp_path):

@@ -89,6 +89,31 @@ PINNED = {
 }
 
 
+# Recorded at these seeds with the full-width lockstep loop that preceded
+# live-path compaction (every mask and draw over the whole block).  They pin
+# the probe bookkeeping of the other boundary rules at probe times 0.05, 0.3
+# and 1: left killing, Nstar clamping, right truncation, and ND re-entry
+# killing, which records the probes a path has not reached as absorbed.  Same
+# re-recording rule as above.
+PINNED_PROBES = {
+    "DD": (707, "76a988fb79ec31e7c0d0e5a6c0824946df16334ebdf87b37020a806cb6344354",
+           dict(n_paths=9000, completions=0, excursions=0, iterations=31,
+                events=93244)),
+    "DN": (708, "44c97fa6d868b1b28d8baba8816f6afcba03015caac7733ffe5a2574f92d4e97",
+           dict(n_paths=9000, completions=0, excursions=0, iterations=32,
+                events=115974)),
+    "N*D": (709, "8baf8fd26f782b60d41a3c1914fe4658c6ae79c096019aea8175575c51843bda",
+            dict(n_paths=9000, completions=0, excursions=0, iterations=33,
+                 events=133039)),
+    "N*N": (710, "3e77d2e378b17c59b0357f3c4442a573d6639aff30b78e4979afbc5365264cb0",
+            dict(n_paths=9000, completions=0, excursions=0, iterations=37,
+                 events=159781)),
+    "ND": (711, "ef8f18e80753a59b197077a0fbcfbdd55bcd7985140611e8c27bd9d4ec2e48f4",
+           dict(n_paths=9000, completions=637, excursions=10234,
+                iterations=4216, events=2044998)),
+}
+
+
 def test_engine_outputs_pinned(coeffs, reentry):
     holds, lands, d_ft = first_transition_mc(coeffs, 9000, seed=404,
                                              reentry_cum=reentry)
@@ -103,6 +128,12 @@ def test_engine_outputs_pinned(coeffs, reentry):
            "ND absorption": (_digest(times), d_nd)}
     for key, (digest, diag) in got.items():
         assert (digest, dataclasses.asdict(diag)) == PINNED[key], key
+    for label, (seed, digest, diag) in PINNED_PROBES.items():
+        counts, _, d = mapped_process_mc(
+            coeffs, BoundaryPair.from_label(label), N, 5, 9000, seed=seed,
+            probe_times=(0.05, 0.3, 1.0), reentry_cum=reentry)
+        assert counts.sum(axis=1).tolist() == [9000] * 3, label
+        assert (_digest(counts), dataclasses.asdict(d)) == (digest, diag), label
 
 
 def test_absorption_times_match_matrix_solve(stable_exp, coeffs, reentry):
@@ -128,6 +159,9 @@ def test_absorption_guard(coeffs):
     with pytest.raises(ValueError):
         mapped_process_mc(coeffs, BoundaryPair.from_label("ND"), N, 5, 10,
                           seed=1)
+    with pytest.raises(ValueError):
+        mapped_process_mc(coeffs, BoundaryPair.from_label("DD"), N, 5, 10,
+                          seed=1, probe_times=(0.2, -0.1))
 
 
 def test_first_transition_small(coeffs, reentry):

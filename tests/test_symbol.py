@@ -66,6 +66,25 @@ def test_tempered_closed_form_matches_quadrature():
         assert cexp.psi_prime(xi) == pytest.approx(texp.psi_prime(xi), rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [1.0 + 2.0 ** -52, 1.0 + 1e-11, 1.5, 1.99])
+@pytest.mark.parametrize("lam", [5e-324, 1e-3, 3.0])
+def test_tempered_closed_form_high_precision(alpha, lam):
+    # the symbol vanishes like alpha - 1; the difference-of-powers form
+    # (xi+lam)^alpha - lam^alpha - alpha lam^(alpha-1) xi cancels that factor
+    # to roundoff (0.13% off at alpha = 1 + 1e-11, lam = 3, xi = 0.3)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    texp = LaplaceExponent(LevyMeasureSpec.tempered_stable(alpha, lam))
+    a, lm = mp.mpf(alpha), mp.mpf(lam)
+    for xi in (0.3, 1.0, 40.0, 3.0 + 4.0j):
+        z = mp.mpmathify(xi)
+        psi = (z + lm) ** a - lm ** a - a * lm ** (a - 1) * z
+        assert abs(texp.psi(xi) - complex(psi)) <= 1e-12 * abs(complex(psi))
+        if not isinstance(xi, complex):
+            dpsi = a * ((z + lm) ** (a - 1) - lm ** (a - 1))
+            assert texp.psi_prime(xi) == pytest.approx(float(dpsi), rel=1e-14)
+
+
 def test_custom_integrated_tail_representation():
     # psi(xi) = xi^2 int e^(-xi x) Phi(x) dx, the equivalent compensated form
     cexp = LaplaceExponent(tempered_custom())
