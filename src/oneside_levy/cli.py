@@ -150,12 +150,13 @@ def run_semigroup(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
     times = [float(t) for t in cfg.as_list("times")]
     i0 = int(cfg.get("i0", (n + 1) // 2))
     Q = _build(cfg, n, bc)
-    rows = []
-    for t in times:
-        row = ratemat.semigroup_row(Q, t, i0)
-        rows.extend((t, float(Q.grid[j]), float(row[j])) for j in range(Q.size))
-    write_csv(out / "semigroup.csv", ["t", "x", "prob"], rows)
+    rows, diags = zip(*(ratemat.semigroup_row_diag(Q, t, i0) for t in times))
+    write_csv(out / "semigroup.csv", ["t", "x", "prob"],
+              [(t, float(x), float(p))
+               for t, row in zip(times, rows) for x, p in zip(Q.grid, row)])
     rep = ComparisonReport("semigroup", dict(cfg.raw), cfg.seed)
+    rep.params["semigroup_diag"] = [dict(t=t, **dataclasses.asdict(d))
+                                    for t, d in zip(times, diags)]
     n_paths = int(cfg.get("paths", 0))
     if n_paths > 0:
         c_sim = _coeffs_for(cfg, Q.h, int(cfg.get("j_max", 8192)))
@@ -165,9 +166,8 @@ def run_semigroup(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
         counts, _, diag = mc.mapped_process_mc(
             c_sim, bc, n, i0, n_paths, cfg.seed, probe_times=times,
             reentry_cum=ret)
-        for j, t in enumerate(times):
-            tv = mc.total_variation(counts[j] / n_paths,
-                                    ratemat.semigroup_row(Q, t, i0))
+        for j, (t, row) in enumerate(zip(times, rows)):
+            tv = mc.total_variation(counts[j] / n_paths, row)
             rep.add(f"tv_t={t:g}", tv, 0.0, float(cfg.get("tv_tol", 0.02)))
         rep.params["mc_diag"] = dataclasses.asdict(diag)
     else:

@@ -14,6 +14,13 @@ half-line matrix of the chain stopped on its first visit to the upper lattice,
 resolvent solves against its transpose, the vanishing-discount limit of those
 resolvents, matrix semigroups via uniformization, stationary vectors and mean
 absorption times.
+
+A semigroup row e_{i0} exp(tQ) is the Poisson(lam t) mixture of the rows
+e_{i0} P^k, P = I + Q/lam.  They are formed in blocks of up to BLOCK_ROWS
+consecutive powers, so each step is one matrix-matrix product V <- V P^b
+instead of b memory-bound row-vector products; P^b comes from d = log2(b)
+squarings, taken only while they cost no more flops than the row products
+they serve.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from .symbol import LaplaceExponent
 
 ROW_SUM_RTOL = 1e-10
 OFFDIAG_SLACK = 1e-12
+POISSON_TAIL_TOL = 1e-12     # Poisson mass a semigroup row may leave out
+BLOCK_ROWS = 32              # most rows of P-powers formed at once
 
 _LEFT = ("D", "N", "Nstar")
 _RIGHT = ("D", "N")
@@ -288,38 +297,77 @@ def landing_law(c: GrunwaldCoeffs, m_below: int, j_cap: int) -> np.ndarray:
     return z
 
 
-def semigroup_row(Q: RateMatrix, t: float, i0: int,
-                  tail_tol: float = 1e-12) -> np.ndarray:
-    """Row i0 of exp(tQ) by uniformization.
+@dataclass(frozen=True)
+class UniformizationDiag:
+    """Work of one semigroup row: Poisson steps K, the Poisson mass left out
+    (1 - sum of the K weights) and the number of squarings of P."""
 
-    Poisson weights are accumulated in log space so large rate*t horizons do
-    not underflow; iteration stops once the remaining Poisson tail is below
-    tail_tol.
+    steps: int
+    poisson_tail: float
+    squarings: int
+
+
+def _poisson_weights(mu: float):
+    """Poisson(mu) weights w_0..w_{K-1} and their sum.
+
+    Weights are taken in log space so large horizons do not underflow; K is
+    the first count whose accumulated weight reaches 1 - POISSON_TAIL_TOL,
+    capped at mu + 12 sqrt(mu) + 50.
+    """
+    kmax = int(mu + 12.0 * math.sqrt(mu) + 50.0)
+    w = []
+    acc = 0.0
+    while len(w) <= kmax and acc < 1.0 - POISSON_TAIL_TOL:
+        k = len(w)
+        w.append(math.exp(-mu + k * math.log(mu) - math.lgamma(k + 1) if k
+                          else -mu))
+        acc += w[-1]
+    return np.array(w), acc
+
+
+def semigroup_row_diag(Q: RateMatrix, t: float, i0: int):
+    """Row i0 of exp(tQ) by uniformization, with its UniformizationDiag.
+
+    With lam the largest holding rate and P = I + Q/lam, the row is
+    sum_k w_k e_{i0} P^k over the Poisson(lam t) weights of
+    :func:`_poisson_weights`, divided by their sum.  The powers are formed
+    in blocks: V holds b = 2^d consecutive rows e_{i0} P^k..P^(k+b-1),
+    built by d doublings V <- [V; V S], S <- S S from S = P, and each block
+    step is one product V <- V P^b.  Doubling stops at BLOCK_ROWS rows or
+    once the next squaring would cost more than the K row products it
+    serves ((d+1) (n+2) > K), so short horizons keep d = 0 and plain
+    row-vector products.  Every factor is entrywise nonnegative when the
+    off-diagonal entries of Q are, so then is the row.
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     size = Q.size
     v = np.zeros(size)
     v[i0] = 1.0
-    if t == 0.0:
-        return v
     lam = float(np.max(-np.diag(Q.Q)))
-    if lam == 0.0:
-        return v
-    P = np.eye(size) + Q.Q / lam
-    mu = lam * t
-    out = np.zeros(size)
-    acc = 0.0
-    k = 0
-    kmax = int(mu + 12.0 * math.sqrt(mu) + 50.0)
-    while k <= kmax and acc < 1.0 - tail_tol:
-        logw = -mu + k * math.log(mu) - math.lgamma(k + 1) if k > 0 else -mu
-        w = math.exp(logw)
-        out += w * v
-        acc += w
-        v = v @ P
-        k += 1
-    return out / acc
+    if t == 0.0 or lam == 0.0:
+        return v, UniformizationDiag(0, 0.0, 0)
+    w, acc = _poisson_weights(lam * t)
+    K = len(w)
+    S = Q.Q / lam
+    S.flat[:: size + 1] += 1.0
+    V = v[None, :]
+    d = 0
+    while 2 * len(V) <= BLOCK_ROWS and (d + 1) * size <= K:
+        V = np.vstack((V, V @ S))
+        S = S @ S
+        d += 1
+    b = len(V)
+    out = w[:b] @ V[:K]
+    for k in range(b, K, b):
+        V = V @ S
+        out += w[k: k + b] @ V[: K - k]
+    return out / acc, UniformizationDiag(K, 1.0 - acc, d)
+
+
+def semigroup_row(Q: RateMatrix, t: float, i0: int) -> np.ndarray:
+    """Row i0 of exp(tQ) by uniformization (see :func:`semigroup_row_diag`)."""
+    return semigroup_row_diag(Q, t, i0)[0]
 
 
 def stationary_interior(Q: RateMatrix) -> np.ndarray:

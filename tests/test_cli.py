@@ -83,6 +83,11 @@ def test_report_byte_identical_modulo_wall_clock(tmp_path, command, body):
         diag = json.loads(raw)["params"]["mc_diag"]
         assert set(diag) == {"n_paths", "completions", "excursions",
                              "iterations", "events"}
+        steps = json.loads(raw)["params"]["semigroup_diag"]
+        assert [d["t"] for d in steps] == [0.1, 0.5]
+        for d in steps:
+            assert set(d) == {"t", "steps", "poisson_tail", "squarings"}
+            assert d["steps"] > 0 and 0.0 <= d["poisson_tail"] < 1e-10
     if command == "scale":
         diag = json.loads(raw)["params"]["series_diag"]
         assert set(diag) == {"n_terms", "error_estimate"}

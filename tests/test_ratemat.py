@@ -8,7 +8,8 @@ from oneside_levy.grunwald import compute_coeffs
 from oneside_levy.ratemat import (ALL_PAIRS, BoundaryPair, build_restricted,
                                   build_stopped, ergodic_limit_z, landing_law,
                                   mean_absorption, resolvent_transpose_e,
-                                  semigroup_row, stationary_interior,
+                                  semigroup_row, semigroup_row_diag,
+                                  stationary_interior,
                                   stopped_resolvent_profile, validity_report)
 
 
@@ -215,6 +216,62 @@ def test_semigroup_row_series_oracle(stable_exp):
         term = term @ (t * Q.Q) / k
         expm += term
     assert np.max(np.abs(semigroup_row(Q, t, 3) - expm[3])) < 1e-10
+
+
+def _dense_uniformization(Q, t, i0):
+    """One row-vector product per Poisson step (reference for the blocks)."""
+    v = np.zeros(Q.size)
+    v[i0] = 1.0
+    lam = float(np.max(-np.diag(Q.Q)))
+    P = np.eye(Q.size) + Q.Q / lam
+    mu = lam * t
+    out = np.zeros(Q.size)
+    acc = 0.0
+    k = 0
+    while k <= int(mu + 12.0 * math.sqrt(mu) + 50.0) and acc < 1.0 - 1e-12:
+        w = math.exp(-mu + k * math.log(mu) - math.lgamma(k + 1) if k else -mu)
+        out += w * v
+        acc += w
+        v = v @ P
+        k += 1
+    return out / acc, k, 1.0 - acc
+
+
+def _first_t(Q, ts, accept):
+    for t in ts:
+        _, diag = semigroup_row_diag(Q, t, 1)
+        if accept(diag):
+            return t
+    raise AssertionError("no horizon in the scan has the block layout")
+
+
+def test_semigroup_row_block_edges(stable_exp):
+    # d = 0 (plain row products), K an exact multiple of the block rows
+    # b = 2^d, K not a multiple, and K >> b at the full 32-row block.
+    n = 9
+    c = coeffs_for_n(stable_exp, n)
+    Q = build_restricted(c, n, BoundaryPair.from_label("DN"))
+    ts = np.linspace(0.01, 3.0, 300)
+    cases = [
+        _first_t(Q, ts, lambda d: d.squarings == 0),
+        _first_t(Q, ts, lambda d: d.squarings >= 2
+                 and d.steps % 2 ** d.squarings == 0),
+        _first_t(Q, ts, lambda d: d.squarings >= 2
+                 and d.steps % 2 ** d.squarings != 0),
+        400.0,
+    ]
+    for t in cases:
+        for i0 in (1, 5, n):
+            row, diag = semigroup_row_diag(Q, t, i0)
+            ref, steps, tail = _dense_uniformization(Q, t, i0)
+            assert (diag.steps, diag.poisson_tail) == (steps, tail)
+            assert np.max(np.abs(row - ref)) <= 1e-13
+            assert row.min() >= 0.0
+    diag = semigroup_row_diag(Q, 400.0, 1)[1]
+    assert diag.squarings == 5 and diag.steps > 100 * 32
+    row, diag = semigroup_row_diag(Q, 0.0, 3)
+    assert row[3] == row.sum() == 1.0
+    assert (diag.steps, diag.poisson_tail, diag.squarings) == (0, 0.0, 0)
 
 
 def test_stationary_interior_nn(stable_exp):

@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oneside_levy.errors import NonConvergenceError, RangeExceededError
 from oneside_levy.scale import (ScaleGrid, ScaleKit, cumulative_integral,
@@ -29,6 +31,74 @@ def test_mittag_leffler_values():
                                                            rel=1e-9)
     with pytest.raises(RangeExceededError):
         mittag_leffler(1.5, 1.0, 101.0)
+
+
+def _ml_mpmath(gamma, beta, x):
+    """sum_n x^n / Gamma(gamma n + beta) and sum_n |x|^n / Gamma(...) at 50
+    digits (test oracle)."""
+    with mp.workdps(50):
+        g, b, x = mp.mpf(gamma), mp.mpf(beta), mp.mpf(x)
+        total, absolute, n = mp.mpf(0), mp.mpf(0), 0
+        while True:
+            term = x ** n / mp.gamma(g * n + b)
+            total += term
+            absolute += abs(term)
+            if n > abs(x) ** (1 / g) + 4 and abs(term) < mp.mpf(10) ** -40 * absolute:
+                return float(total), float(absolute)
+            n += 1
+
+
+@pytest.mark.parametrize("gamma, beta", [(1.5, 1.0), (1.5, 1.5), (1.05, 1.05),
+                                         (1.95, 1.0), (1.0, 2.0)])
+def test_mittag_leffler_array_vs_mpmath(gamma, beta):
+    # Each term is exp(n log|x| - lgamma(gamma n + beta)); the argument is
+    # at most a few hundred, so a term carries a relative error of a few
+    # hundred ulps.  Hence 1e-12 relative for x >= 0, and 1e-12 of the
+    # absolute series for x < 0, where the terms cancel.
+    xs = np.concatenate((np.linspace(0.0, 100.0, 41), [1e-9, 0.3, 3.7],
+                         [-0.5, -1.0, -4.0, -10.0, -25.0]))
+    got = mittag_leffler(gamma, beta, xs)
+    assert got.shape == xs.shape
+    for x, v in zip(xs, got):
+        exact, absolute = _ml_mpmath(gamma, beta, x)
+        if x >= 0.0:
+            assert abs(v - exact) <= 1e-12 * exact, (x, v, exact)
+        else:
+            assert abs(v - exact) <= 1e-12 * absolute, (x, v, exact)
+        scalar = mittag_leffler(gamma, beta, float(x))
+        assert type(scalar) is float and abs(scalar - v) <= 1e-15 * absolute
+    grid = mittag_leffler(gamma, beta, xs[:40].reshape(5, 8))
+    assert grid.shape == (5, 8) and np.array_equal(grid.ravel(), got[:40])
+
+
+def test_mittag_leffler_errors():
+    with pytest.raises(RangeExceededError):
+        mittag_leffler(1.5, 1.0, np.array([0.5, -100.5]))
+    with pytest.raises(RangeExceededError):
+        mittag_leffler(1.5, 1.0, np.array([0.5, math.nan]))
+    for gamma, beta in ((0.0, 1.0), (1.5, -1.0)):
+        with pytest.raises(ValueError):
+            mittag_leffler(gamma, beta, np.array([0.5]))
+    # the terms of E_{0.4,1}(50) peak near n = 50^2.5, past the term cap,
+    # and would overflow on the way
+    with pytest.raises(NonConvergenceError):
+        mittag_leffler(0.4, 1.0, 50.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(alpha=st.floats(1.02, 1.98), q=st.floats(0.05, 5.0),
+       a=st.floats(0.2, 3.0))
+def test_Zq_series_vs_closed_random(alpha, q, a):
+    # The two routes differ only by the product-trapezoidal quadrature error
+    # of the series route, which is second order: halving dx divides the
+    # gap by 4.  A wrong closed form would leave a gap that does not shrink.
+    errs = []
+    for m in (500, 1000):
+        kit = ScaleKit(ScaleGrid(a=a, m=m, alpha=alpha, q=q))
+        zc = kit.Zq(kit.grid.nodes)
+        errs.append(float(np.max(np.abs(kit.Zq_series() - zc) / zc)))
+    assert errs[1] < 1e-4, errs
+    assert 3.7 < errs[0] / errs[1] < 4.3, errs
 
 
 def test_frac_integral_polynomial_exactness():
