@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -292,12 +291,13 @@ def run_j1(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
 
     p = read_path(cfg.require("path_a"))
     q = read_path(cfg.require("path_b"))
-    up, lo = paths.j1_distance(p, q, min(float(p.T), float(q.T)))
+    T = min(float(p.T), float(q.T))
+    d, _ = paths.j1_distance(p, q, T)
+    d_back, _ = paths.j1_distance(q, p, T)
     rep = ComparisonReport("j1", dict(cfg.raw), cfg.seed)
-    rep.add("upper_minus_lower", up - lo, 0.0, math.inf)
-    rep.params["upper"] = up
-    rep.params["lower"] = lo
-    (out / "j1.json").write_text(json.dumps({"upper": up, "lower": lo}) + "\n")
+    rep.add("symmetry_gap", d, d_back, 0.0)
+    rep.params["distance"] = d
+    (out / "j1.json").write_text(json.dumps({"distance": d}) + "\n")
     return rep
 
 

@@ -16,8 +16,8 @@ on this class:
 Epochs may be floats or fractions.Fraction; with fractions every map is exact
 in rational arithmetic, which the pathwise-identity tests rely on.
 
-The module also carries a path simulator for the free grid walk, a two-sided
-bound algorithm for the time-distortion (J1) path distance, and value scaling.
+The module also carries a path simulator for the free grid walk and the exact
+Skorokhod J1 distance between step paths.
 """
 
 from __future__ import annotations
@@ -414,35 +414,47 @@ def simulate_cp(c: GrunwaldCoeffs, cfg: SimConfig, path_index: int = 0) -> StepP
     return make_step_path(cfg.T, cfg.x0, epochs, values)
 
 
-# -- value scaling and path distance -----------------------------------------
-
-def scale_path(p: StepPath, c: float) -> StepPath:
-    """Multiply all values by c (useful for barrier renormalisation checks)."""
-    return make_step_path(p.T, c * p.initial, p.epochs,
-                          tuple(c * v for v in p.values))
-
+# -- path distance -------------------------------------------------------------
 
 def j1_distance(p: StepPath, q: StepPath, T: Optional[float] = None):
-    """Two-sided bounds for the time-distortion path distance on [0, T].
+    """Exact Skorokhod J1 distance between p and q on [0, T], as (d, d).
 
-    Returns (upper, lower).  The upper bound is a bottleneck alignment over
-    jump epochs: each jump of p is either matched onto a jump of q (time cost
-    = epoch gap) or placed inside a q segment, and every traversed value pair
-    contributes its gap; piecewise-linear time changes through the chosen
-    placements realise the bound.  The lower bound certifies impossibility:
-    if for some t every p-value within the window [t-d, t+d] stays farther
-    than d from q(t) (or vice versa), no time change of size d works.  Both
-    bounds are exact for identical paths.
+    d is the infimum over increasing homeomorphisms lam of [0, T] of
+    max(sup|lam - id|, sup|p o lam - q|).  A time change matters only through
+    where it sends each jump of p among the jumps of q: onto one of them (time
+    cost = epoch gap) or inside a q segment (time cost = distance of the epoch
+    from the closed segment); the q jumps themselves cost no time.  Each
+    such merge fixes the value gaps, so d is the bottleneck (min-max) over
+    monotone merges, found by a dynamic program over (jumps of p, jumps of q)
+    in O(mn).
+
+    Since lam(T) = T, a jump at the horizon can only match a jump at T or sit
+    in the other path's last segment at no time cost, and no earlier jump can
+    land at T.  The program therefore runs on the jumps before T and the
+    result is the larger of its value and |p(T) - q(T)|.  Whether a jump lies
+    at T is decided in the path's own time type (float or Fraction), before
+    any conversion to float.
+
+    Both entries of the pair are the exact distance.  The pair shape of the
+    former (upper, lower) bracket is kept because ``perfbench`` unpacks it.
     """
     if T is None:
         T = min(p.T, q.T)
     pr, qr = p.restrict(T), q.restrict(T)
-    upper = _j1_upper(pr, qr, T)
-    lower = _j1_lower(pr, qr, T, upper)
-    return upper, lower
+    d = max(_j1_bottleneck(_before_horizon(pr), _before_horizon(qr)),
+            abs(float(pr.all_values()[-1]) - float(qr.all_values()[-1])))
+    return d, d
 
 
-def _j1_upper(p: StepPath, q: StepPath, T) -> float:
+def _before_horizon(p: StepPath) -> StepPath:
+    """p without a jump at its horizon, if it has one."""
+    k = bisect.bisect_left(p.epochs, p.T)
+    return StepPath(T=p.T, initial=p.initial, epochs=p.epochs[:k],
+                    values=p.values[:k])
+
+
+def _j1_bottleneck(p: StepPath, q: StepPath) -> float:
+    """Min-max cost over monotone merges of the jumps, none of them at T."""
     pv = [float(v) for v in p.all_values()]
     qv = [float(v) for v in q.all_values()]
     ps = [float(e) for e in p.epochs]
@@ -451,7 +463,7 @@ def _j1_upper(p: StepPath, q: StepPath, T) -> float:
     big = math.inf
     D = [[big] * (n + 1) for _ in range(m + 1)]
     D[0][0] = abs(pv[0] - qv[0])
-    qgrid = [0.0] + qs + [float(T)]
+    qgrid = [0.0] + qs + [float(q.T)]
     for i in range(m + 1):
         for j in range(n + 1):
             d = D[i][j]
@@ -475,57 +487,3 @@ def _j1_upper(p: StepPath, q: StepPath, T) -> float:
                 if cost < D[i + 1][j + 1]:
                     D[i + 1][j + 1] = cost
     return D[m][n]
-
-
-def _window_values(p: StepPath, lo, hi):
-    """Values taken by p on the closed window [lo, hi] within [0, T]."""
-    lo = max(lo, 0.0)
-    hi = min(hi, float(p.T))
-    vals = []
-    for s, e, v in p.segments():
-        s, e = float(s), float(e)
-        if s <= hi and (e > lo or (e == lo == float(p.T))):
-            vals.append(float(v))
-        # closed window: a segment starting exactly at hi contributes
-        if s > hi:
-            break
-    # include the value at the right horizon point
-    if hi == float(p.T):
-        vals.append(float(p.all_values()[-1]))
-    return vals
-
-
-def _refuted(p: StepPath, q: StepPath, T: float, d: float) -> bool:
-    """True if no time change of size d can align p and q within d."""
-    for a, b in ((p, q), (q, p)):
-        cands = {0.0, float(T)}
-        for e in b.epochs:
-            cands.add(float(e))
-            cands.add(max(0.0, float(e) - 1e-12))
-        for e in a.epochs:
-            for t in (float(e) - d, float(e) + d):
-                if 0.0 <= t <= float(T):
-                    cands.add(t)
-                    cands.add(max(0.0, t - 1e-12))
-        for t in cands:
-            w = _window_values(a, t - d, t + d)
-            bt = float(b.value_at(t))
-            if min(abs(bt - v) for v in w) > d + 1e-15:
-                return True
-    return False
-
-
-def _j1_lower(p: StepPath, q: StepPath, T, upper: float) -> float:
-    T = float(T)
-    if upper == 0.0:
-        return 0.0
-    lo, hi = 0.0, upper
-    if not _refuted(p, q, T, 0.0):
-        return 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _refuted(p, q, T, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo

@@ -36,9 +36,9 @@ def write_csv(path, header, rows) -> None:
 class Metric:
     name: str
     value_a: float
-    value_b: Optional[float]
+    value_b: float
     abs_err: float
-    rel_err: float
+    rel_err: Optional[float]  # None against an expected value of 0
     tolerance: float
     kind: str               # which error the tolerance binds: "abs" or "rel"
     passed: bool
@@ -52,18 +52,20 @@ class ComparisonReport:
     metrics: List[Metric] = field(default_factory=list)
     started: float = field(default_factory=time.time)
 
-    def add(self, name: str, value_a: float, value_b: Optional[float],
+    def add(self, name: str, value_a: float, value_b: float,
             tolerance: float, kind: str = "abs") -> bool:
-        if value_b is None:
-            abs_err = abs(float(value_a))
-            rel_err = abs_err
-        else:
-            abs_err = abs(float(value_a) - float(value_b))
-            rel_err = abs_err / max(abs(float(value_b)), 1e-300)
+        """Record |value_a - value_b| and gate the error that kind names.
+
+        Against an expected 0 the relative error is undefined: rel_err is
+        stored as None (JSON null) and kind="rel" raises ValueError.
+        """
+        abs_err = abs(float(value_a) - float(value_b))
+        rel_err = abs_err / abs(float(value_b)) if value_b != 0.0 else None
+        if kind == "rel" and rel_err is None:
+            raise ValueError(f"{name}: relative error against an expected 0")
         err = abs_err if kind == "abs" else rel_err
         ok = bool(err <= tolerance)
-        self.metrics.append(Metric(name, float(value_a),
-                                   None if value_b is None else float(value_b),
+        self.metrics.append(Metric(name, float(value_a), float(value_b),
                                    abs_err, rel_err, float(tolerance), kind, ok))
         return ok
 

@@ -138,7 +138,11 @@ def test_j1_command(tmp_path):
     out = tmp_path / "j1"
     assert main(["j1", "--config", str(cfg), "--out", str(out)]) == 0
     d = json.loads((out / "j1.json").read_text())
-    assert d["upper"] == pytest.approx(0.1, abs=1e-9)
+    assert d["distance"] == pytest.approx(0.1, abs=1e-12)
+    rep = json.loads((out / "report_j1.json").read_text())
+    assert rep["params"]["distance"] == d["distance"]
+    assert [m["name"] for m in rep["metrics"]] == ["symmetry_gap"]
+    assert rep["all_pass"]
 
 
 def test_suite_and_exit_codes(tmp_path):

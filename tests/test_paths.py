@@ -9,7 +9,7 @@ from oneside_levy.paths import (SimConfig, StepPath, above, apply_boundary,
                                 below, between, fast_forward, j1_distance,
                                 jump_table, kill_left, kill_right,
                                 make_step_path, reflect_left, reflect_right,
-                                reflect_two_sided, scale_path, simulate_cp)
+                                reflect_two_sided, simulate_cp)
 from oneside_levy.ratemat import BoundaryPair
 from oneside_levy.grunwald import compute_coeffs
 from oneside_levy.mc import total_variation
@@ -383,6 +383,30 @@ def test_j1_examples():
     assert j1_distance(a, a, 1.0) == (0.0, 0.0)
 
 
+def test_j1_jump_at_horizon():
+    # lam(T) = T: the jump of q at T cannot absorb the jump of p at 0.853, so
+    # p's value 1.0 on [0.853, 1) faces q's 1.4 wherever it is placed before T
+    p = make_step_path(1.0, -0.5, [0.322, 0.853], [1.4, 1.0])
+    q = make_step_path(1.0, -0.5, [0.322, 1.0], [1.4, 1.0])
+    assert j1_distance(p, q) == pytest.approx((0.4, 0.4), abs=1e-12)
+    assert j1_distance(q, p) == j1_distance(p, q)
+    # both jump at T: those jumps match, and the gap before T is a time shift
+    a = make_step_path(1.0, 0.0, [0.5, 1.0], [1.0, 2.0])
+    b = make_step_path(1.0, 0.0, [0.625, 1.0], [1.0, 3.0])
+    assert j1_distance(a, b) == (1.0, 1.0)
+    b = make_step_path(1.0, 0.0, [0.625, 1.0], [1.0, 2.0])
+    assert j1_distance(a, b) == (0.125, 0.125)
+    # the horizon test runs in the epochs' own type: the last epoch below is
+    # 1 - 2^-60, which rounds to the float 1.0 but is not a jump at T
+    e = Fraction(1) - Fraction(1, 2 ** 60)
+    c = make_step_path(Fraction(1), 0.0, [Fraction(1, 2), e], [1.0, 2.0])
+    d = make_step_path(Fraction(1), 0.0, [Fraction(1, 2), Fraction(1)],
+                       [1.0, 2.0])
+    assert float(e) == 1.0
+    assert j1_distance(c, d) == (1.0, 1.0)
+    assert j1_distance(c, c) == (0.0, 0.0)
+
+
 def test_j1_scale_bound(coeffs_n9):
     # for paths with values in [-1, 1] the identity change bounds the
     # distance between f and c f by |1 - c|
@@ -391,19 +415,20 @@ def test_j1_scale_bound(coeffs_n9):
         p = simulate_cp(coeffs_n9, cfg, path_index=k)
         if max(abs(v) for v in p.all_values()) > 1.0:
             continue
-        up, _ = j1_distance(p, scale_path(p, 0.9), float(p.T))
+        scaled = make_step_path(p.T, 0.9 * p.initial, p.epochs,
+                                [0.9 * v for v in p.values])
+        up, _ = j1_distance(p, scaled, float(p.T))
         assert up <= 0.1 + 1e-12
-    assert scale_path(p, 1.0) == p
 
 
 def test_j1_counterexample_family_one():
     for n in (2, 8, 64):
         f_n = make_step_path(2.0, 1.0 / n, [1.0], [1.0])
         f = make_step_path(2.0, 0.0, [1.0], [1.0])
-        up, lo = j1_distance(fast_forward(f_n, above(0.0)),
-                             fast_forward(f, above(0.0)), 1.0)
-        assert lo >= (1.0 - 1.0 / n) - 1e-9
-        assert up >= lo
+        # the jump to 1 sits at the horizon and cannot move: d = 1 - 1/n
+        d = j1_distance(fast_forward(f_n, above(0.0)),
+                        fast_forward(f, above(0.0)), 1.0)
+        assert d == (1.0 - 1.0 / n, 1.0 - 1.0 / n)
 
 
 def _staircase(T, start, stop, t0, t1, cells):
@@ -423,8 +448,10 @@ def test_j1_counterexample_family_two():
     f_n = _staircase(3.0, -1.0 + 1.0 / n, 0.0 + 1.0 / n, 0.0, 1.0, 64)
     Nf = fast_forward(f, above(0.0))
     Nf_n = fast_forward(f_n, above(0.0))
-    up, lo = j1_distance(Nf_n, Nf, min(float(Nf.T), float(Nf_n.T)))
-    assert lo >= 0.4
+    d, _ = j1_distance(Nf_n, Nf, min(float(Nf.T), float(Nf_n.T)))
+    assert d >= 0.4
+    # Nf is 1 throughout, Nf_n starts at its first level above 0, 1/64
+    assert d == pytest.approx(1.0 - 1.0 / 64, abs=1e-12)
 
 
 def test_j1_dither_upper_bounds_shrink(coeffs_n9, rng):
