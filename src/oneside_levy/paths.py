@@ -13,8 +13,15 @@ on this class:
   splices the remainder, with the additive-functional time change available
   on request.
 
-Epochs may be floats or fractions.Fraction; with fractions every map is exact
-in rational arithmetic, which the pathwise-identity tests rely on.
+A path carries the unit of its times.  With ``time_bits = 0`` the horizon and
+epochs are plain floats (or fractions.Fraction).  ``with_exact_times`` turns
+them into Python ints counting ticks of 2^-1074 (``time_bits = TICK_BITS``):
+every finite double is a whole number of such ticks, and the maps only
+compare, add and subtract times, so on tick paths every map is exact integer
+arithmetic, which the pathwise-identity tests rely on.  ``T``, ``epochs`` and
+``segments()`` are in the stored unit; ``horizon``, ``value_at``,
+``restrict``, ``with_float_times``, ``TimeChange.a`` and ``j1_distance`` take
+or return natural times and convert through the unit.
 
 The module also carries a path simulator for the free grid walk and the exact
 Skorokhod J1 distance between step paths.
@@ -35,18 +42,62 @@ from .grunwald import GrunwaldCoeffs
 from .ratemat import BoundaryPair
 
 
+# Every finite double is an integer multiple of 2^-TICK_BITS.
+TICK_BITS = 1074
+
+
+def _stored(t, bits: int, exact: bool = False):
+    """Natural time t in units of 2^-bits.
+
+    An int when t is a whole number of units; otherwise the exact Fraction,
+    or ValueError when ``exact`` asks for an int.  Never rounds.
+    """
+    if not bits:
+        return t
+    n, d = t.as_integer_ratio()
+    shift = bits + 1 - d.bit_length()
+    if d & (d - 1) == 0 and shift >= 0:
+        return n << shift
+    if exact:
+        raise ValueError(f"time {t!r} is not an integer multiple of "
+                         f"2^-{bits}")
+    return Fraction(n << bits, d)
+
+
+def _natural(t, bits: int):
+    """Stored time t in natural units, exactly."""
+    return Fraction(t, 1 << bits) if bits else t
+
+
+def _float(t, bits: int) -> float:
+    """Stored time t as the nearest float (int division rounds correctly)."""
+    return t / (1 << bits) if bits else float(t)
+
+
 @dataclass(frozen=True)
 class StepPath:
-    """Piecewise-constant cadlag path on [0, T]; no null jumps stored."""
+    """Piecewise-constant cadlag path on [0, T]; no null jumps stored.
 
-    T: object                 # float or Fraction
+    T and the epochs are stored in units of 2^-time_bits: floats or
+    Fractions when time_bits is 0, int ticks when it is TICK_BITS.
+    """
+
+    T: object
     initial: float
     epochs: tuple = ()
     values: tuple = ()
+    time_bits: int = 0
 
     def __post_init__(self):
         if len(self.epochs) != len(self.values):
             raise ValueError("epochs and values must pair up")
+        if self.time_bits:
+            if self.time_bits != TICK_BITS:
+                raise ValueError(f"time_bits must be 0 or {TICK_BITS}")
+            for t in (self.T, *self.epochs):
+                if type(t) is not int:
+                    raise ValueError(f"time {t!r} of a path with time_bits="
+                                     f"{self.time_bits} is not an int tick")
         last = 0
         prev_val = self.initial
         for e, v in zip(self.epochs, self.values):
@@ -60,14 +111,23 @@ class StepPath:
     def n_jumps(self) -> int:
         return len(self.epochs)
 
+    @property
+    def horizon(self):
+        """T in natural time units, exactly (a Fraction on tick paths)."""
+        return _natural(self.T, self.time_bits)
+
     def value_at(self, t):
-        if not 0 <= t <= self.T:
-            raise ValueError(f"t={t} outside [0, {self.T}]")
-        k = bisect.bisect_right(self.epochs, t)
+        """Value at the natural time t."""
+        s = _stored(t, self.time_bits)
+        if not 0 <= s <= self.T:
+            raise ValueError(
+                f"t={t} outside [0, {_float(self.T, self.time_bits)}]")
+        k = bisect.bisect_right(self.epochs, s)
         return self.values[k - 1] if k else self.initial
 
     def segments(self) -> Iterable[Tuple[object, object, float]]:
-        """Yield (start, end, value) covering [0, T]; the last may be empty."""
+        """Yield (start, end, value) covering [0, T] in the stored unit; the
+        last may be empty."""
         start = 0
         val = self.initial
         for e, v in zip(self.epochs, self.values):
@@ -79,25 +139,40 @@ class StepPath:
         return (self.initial,) + self.values
 
     def restrict(self, T) -> "StepPath":
-        if T > self.T:
+        """The path on [0, T], T in natural units and a whole number of the
+        path's time units (ValueError otherwise)."""
+        s = _stored(T, self.time_bits, exact=True)
+        if s > self.T:
             raise ValueError("cannot extend a path by restriction")
-        k = bisect.bisect_right(self.epochs, T)
-        return StepPath(T=T, initial=self.initial, epochs=self.epochs[:k],
-                        values=self.values[:k])
+        k = bisect.bisect_right(self.epochs, s)
+        return StepPath(T=s, initial=self.initial, epochs=self.epochs[:k],
+                        values=self.values[:k], time_bits=self.time_bits)
 
     def with_exact_times(self) -> "StepPath":
-        """Convert all times to fractions for exact map arithmetic."""
-        return StepPath(T=Fraction(self.T), initial=self.initial,
-                        epochs=tuple(Fraction(e) for e in self.epochs),
-                        values=self.values)
+        """The same path with T and epochs as int ticks of 2^-TICK_BITS.
+
+        Floats, ints and dyadic Fractions down to 2^-1074 convert exactly;
+        any other time (1/3, say) raises ValueError instead of rounding.
+        """
+        if self.time_bits:
+            return self
+        return StepPath(T=_stored(self.T, TICK_BITS, exact=True),
+                        initial=self.initial,
+                        epochs=tuple(_stored(e, TICK_BITS, exact=True)
+                                     for e in self.epochs),
+                        values=self.values, time_bits=TICK_BITS)
 
     def with_float_times(self) -> "StepPath":
-        return StepPath(T=float(self.T), initial=self.initial,
-                        epochs=tuple(float(e) for e in self.epochs),
+        """The same path with float times in natural units; a round trip
+        through with_exact_times returns a float path bit for bit."""
+        bits = self.time_bits
+        return StepPath(T=_float(self.T, bits), initial=self.initial,
+                        epochs=tuple(_float(e, bits) for e in self.epochs),
                         values=self.values)
 
 
-def make_step_path(T, initial, epochs: Sequence, values: Sequence) -> StepPath:
+def make_step_path(T, initial, epochs: Sequence, values: Sequence,
+                   time_bits: int = 0) -> StepPath:
     """Canonicalising constructor: drops null jumps, keeps order checks."""
     es, vs = [], []
     prev = initial
@@ -106,37 +181,47 @@ def make_step_path(T, initial, epochs: Sequence, values: Sequence) -> StepPath:
             es.append(e)
             vs.append(v)
             prev = v
-    return StepPath(T=T, initial=initial, epochs=tuple(es), values=tuple(vs))
+    return StepPath(T=T, initial=initial, epochs=tuple(es), values=tuple(vs),
+                    time_bits=time_bits)
 
 
 @dataclass(frozen=True)
 class TimeChange:
-    """Additive functional A (piecewise linear, slopes 0/1) and its inverse."""
+    """Additive functional A (piecewise linear, slopes 0/1) and its inverse.
+
+    The knots are in the unit of the path they came from; a and a_inverse
+    take and return natural times, exactly.
+    """
 
     knots_t: tuple
     knots_a: tuple
+    time_bits: int = 0
 
     def a(self, t):
-        k = bisect.bisect_right(self.knots_t, t) - 1
+        bits = self.time_bits
+        s = _stored(t, bits)
+        k = bisect.bisect_right(self.knots_t, s) - 1
         k = min(max(k, 0), len(self.knots_t) - 2)
         t0, t1 = self.knots_t[k], self.knots_t[k + 1]
         a0, a1 = self.knots_a[k], self.knots_a[k + 1]
-        if t >= t1:
-            return a1
+        if s >= t1:
+            return _natural(a1, bits)
         slope = 0 if a1 == a0 else 1
-        return a0 + slope * (t - t0)
+        return _natural(a0 + slope * (s - t0), bits)
 
     def a_inverse(self, u):
         """Right-continuous inverse inf{s : A(s) > u}."""
-        if u >= self.knots_a[-1]:
-            return self.knots_t[-1]
-        k = bisect.bisect_right(self.knots_a, u)
-        # knots_a[k-1] <= u < knots_a[k]; the block (t_{k-1}, t_k) has slope 1
+        bits = self.time_bits
+        v = _stored(u, bits)
+        if v >= self.knots_a[-1]:
+            return _natural(self.knots_t[-1], bits)
+        k = bisect.bisect_right(self.knots_a, v)
+        # knots_a[k-1] <= v < knots_a[k]; the block (t_{k-1}, t_k) has slope 1
         # iff its A increases, otherwise move to the next increasing block.
         t0, a0 = self.knots_t[k - 1], self.knots_a[k - 1]
         if self.knots_a[k] > a0:
-            return t0 + (u - a0)
-        return self.knots_t[k]
+            return _natural(t0 + (v - a0), bits)
+        return _natural(self.knots_t[k], bits)
 
 
 # -- killing --------------------------------------------------------------
@@ -144,21 +229,21 @@ class TimeChange:
 def kill_left(p: StepPath, barrier: float = -1.0) -> StepPath:
     """Absorb at the barrier from the first time the path is <= barrier."""
     if p.initial <= barrier:
-        return StepPath(T=p.T, initial=barrier)
+        return StepPath(T=p.T, initial=barrier, time_bits=p.time_bits)
     for k, v in enumerate(p.values):
         if v <= barrier:
-            return make_step_path(p.T, p.initial,
-                                  p.epochs[: k + 1], p.values[:k] + (barrier,))
+            return make_step_path(p.T, p.initial, p.epochs[: k + 1],
+                                  p.values[:k] + (barrier,), p.time_bits)
     return p
 
 
 def kill_right(p: StepPath, barrier: float = 1.0) -> StepPath:
     if p.initial >= barrier:
-        return StepPath(T=p.T, initial=barrier)
+        return StepPath(T=p.T, initial=barrier, time_bits=p.time_bits)
     for k, v in enumerate(p.values):
         if v >= barrier:
-            return make_step_path(p.T, p.initial,
-                                  p.epochs[: k + 1], p.values[:k] + (barrier,))
+            return make_step_path(p.T, p.initial, p.epochs[: k + 1],
+                                  p.values[:k] + (barrier,), p.time_bits)
     return p
 
 
@@ -180,10 +265,10 @@ def reflect_left(p: StepPath, a: float, with_pushing: bool = False):
         push = max(push, -(run_min if run_min < 0.0 else 0.0))
         out_vals.append(v + push)
         push_vals.append(push)
-    out = make_step_path(p.T, p.initial, p.epochs, out_vals)
+    out = make_step_path(p.T, p.initial, p.epochs, out_vals, p.time_bits)
     if not with_pushing:
         return out
-    eta = make_step_path(p.T, 0.0, p.epochs, push_vals)
+    eta = make_step_path(p.T, 0.0, p.epochs, push_vals, p.time_bits)
     return out, eta
 
 
@@ -199,10 +284,10 @@ def reflect_right(p: StepPath, b: float, with_pushing: bool = False):
         push = max(push, run_max if run_max > 0.0 else 0.0)
         out_vals.append(v - push)
         push_vals.append(push)
-    out = make_step_path(p.T, p.initial, p.epochs, out_vals)
+    out = make_step_path(p.T, p.initial, p.epochs, out_vals, p.time_bits)
     if not with_pushing:
         return out
-    eta = make_step_path(p.T, 0.0, p.epochs, push_vals)
+    eta = make_step_path(p.T, 0.0, p.epochs, push_vals, p.time_bits)
     return out, eta
 
 
@@ -231,11 +316,11 @@ def reflect_two_sided(p: StepPath, a: float, b: float,
         out_vals.append(pos)
         pa_vals.append(eta_a)
         pb_vals.append(eta_b)
-    out = make_step_path(p.T, p.initial, p.epochs, out_vals)
+    out = make_step_path(p.T, p.initial, p.epochs, out_vals, p.time_bits)
     if not with_pushing:
         return out
-    eta_a_path = make_step_path(p.T, 0.0, p.epochs, pa_vals)
-    eta_b_path = make_step_path(p.T, 0.0, p.epochs, pb_vals)
+    eta_a_path = make_step_path(p.T, 0.0, p.epochs, pa_vals, p.time_bits)
+    eta_b_path = make_step_path(p.T, 0.0, p.epochs, pb_vals, p.time_bits)
     return out, eta_a_path, eta_b_path
 
 
@@ -298,10 +383,11 @@ def fast_forward(p: StepPath, region, with_time_change: bool = False):
     if out_initial is None:
         raise EmptyRegionError("the path never enters the region")
     out = StepPath(T=acc, initial=out_initial, epochs=tuple(out_epochs),
-                   values=tuple(out_values))
+                   values=tuple(out_values), time_bits=p.time_bits)
     if not with_time_change:
         return out
-    return out, TimeChange(knots_t=tuple(knots_t), knots_a=tuple(knots_a))
+    return out, TimeChange(knots_t=tuple(knots_t), knots_a=tuple(knots_a),
+                           time_bits=p.time_bits)
 
 
 # -- boundary-pair composition ----------------------------------------------
@@ -432,14 +518,15 @@ def j1_distance(p: StepPath, q: StepPath, T: Optional[float] = None):
     in the other path's last segment at no time cost, and no earlier jump can
     land at T.  The program therefore runs on the jumps before T and the
     result is the larger of its value and |p(T) - q(T)|.  Whether a jump lies
-    at T is decided in the path's own time type (float or Fraction), before
-    any conversion to float.
+    at T is decided in the path's own time unit (float, Fraction or int
+    ticks), before any conversion to float.  T is a natural time and
+    defaults to the shorter horizon.
 
     Both entries of the pair are the exact distance.  The pair shape of the
     former (upper, lower) bracket is kept because ``perfbench`` unpacks it.
     """
     if T is None:
-        T = min(p.T, q.T)
+        T = min(p.horizon, q.horizon)
     pr, qr = p.restrict(T), q.restrict(T)
     d = max(_j1_bottleneck(_before_horizon(pr), _before_horizon(qr)),
             abs(float(pr.all_values()[-1]) - float(qr.all_values()[-1])))
@@ -450,20 +537,20 @@ def _before_horizon(p: StepPath) -> StepPath:
     """p without a jump at its horizon, if it has one."""
     k = bisect.bisect_left(p.epochs, p.T)
     return StepPath(T=p.T, initial=p.initial, epochs=p.epochs[:k],
-                    values=p.values[:k])
+                    values=p.values[:k], time_bits=p.time_bits)
 
 
 def _j1_bottleneck(p: StepPath, q: StepPath) -> float:
     """Min-max cost over monotone merges of the jumps, none of them at T."""
     pv = [float(v) for v in p.all_values()]
     qv = [float(v) for v in q.all_values()]
-    ps = [float(e) for e in p.epochs]
-    qs = [float(e) for e in q.epochs]
+    ps = [_float(e, p.time_bits) for e in p.epochs]
+    qs = [_float(e, q.time_bits) for e in q.epochs]
     m, n = len(ps), len(qs)
     big = math.inf
     D = [[big] * (n + 1) for _ in range(m + 1)]
     D[0][0] = abs(pv[0] - qv[0])
-    qgrid = [0.0] + qs + [float(q.T)]
+    qgrid = [0.0] + qs + [_float(q.T, q.time_bits)]
     for i in range(m + 1):
         for j in range(n + 1):
             d = D[i][j]

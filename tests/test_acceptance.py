@@ -208,7 +208,7 @@ def test_criterion_06b_nstarn_vs_twosided_pathwise(exp):
     for p in _exact_free_paths(c, 10_000, seed=616):
         composed = apply_boundary(p, bc, h)
         direct = reflect_two_sided(p, h - 1.0, 1.0 - h)
-        T = min(composed.T, direct.T)
+        T = min(composed.horizon, direct.horizon)
         checked += 1
         if composed.restrict(T) != direct.restrict(T):
             mismatches += 1

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from oneside_levy.errors import BarrierError, EmptyRegionError
-from oneside_levy.paths import (SimConfig, StepPath, above, apply_boundary,
-                                below, between, fast_forward, j1_distance,
+from oneside_levy.paths import (TICK_BITS, SimConfig, StepPath, above,
+                                apply_boundary, below, between, fast_forward,
+                                j1_distance,
                                 jump_table, kill_left, kill_right,
                                 make_step_path, reflect_left, reflect_right,
                                 reflect_two_sided, simulate_cp)
@@ -48,6 +49,59 @@ def test_restrict_keeps_boundary_jump():
     p = make_step_path(2.0, 0.0, [1.0, 1.5], [1.0, 2.0])
     r = p.restrict(1.0)
     assert r.T == 1.0 and r.values == (1.0,)
+
+
+# -- time units -----------------------------------------------------------------
+
+def test_tick_paths_read_natural_times():
+    p = make_step_path(2.0, 0.0, [0.5, 1.0, 1.5], [0.4, -1.6, 0.8])
+    q = p.with_exact_times()
+    assert q.time_bits == TICK_BITS and q.T == 2 << TICK_BITS
+    assert q.with_exact_times() is q
+    assert q.horizon == 2 and q.with_float_times() == p
+    for t in (0.0, 0.75, 1.0, 1.25, 2.0, Fraction(1, 3), Fraction(3, 2)):
+        assert q.value_at(t) == p.value_at(t)
+    assert q.value_at(1.0) == -1.6
+    assert q.restrict(1.0).with_float_times() == p.restrict(1.0)
+    for bad in (-0.25, 2.5):
+        with pytest.raises(ValueError):
+            q.value_at(bad)
+    with pytest.raises(ValueError):
+        q.restrict(2.5)
+    # a stored tick count is not a natural time: it can only fail loudly
+    with pytest.raises(ValueError):
+        q.restrict(q.epochs[1])
+    with pytest.raises(ValueError, match="Fraction"):
+        q.restrict(Fraction(1, 3))   # not a whole number of ticks
+
+
+def test_exact_times_never_round():
+    third = make_step_path(Fraction(1), 0.0, [Fraction(1, 3)], [1.0])
+    with pytest.raises(ValueError, match=r"Fraction\(1, 3\)"):
+        third.with_exact_times()
+    with pytest.raises(ValueError, match=r"Fraction\(2, 3\)"):
+        make_step_path(Fraction(2, 3), 0.0, [], []).with_exact_times()
+    with pytest.raises(ValueError, match=r"multiple of 2\^-1074"):
+        make_step_path(1.0, 0.0, [Fraction(1, 2 ** 1075)],
+                       [1.0]).with_exact_times()
+    dyadic = make_step_path(Fraction(3, 2), 0.0,
+                            [Fraction(1, 2 ** 1074), Fraction(3, 4)],
+                            [1.0, 2.0]).with_exact_times()
+    assert dyadic.epochs == (1, 3 << (TICK_BITS - 2))
+    assert dyadic.with_float_times().epochs == (5e-324, 0.75)
+
+
+def test_tick_paths_reject_other_time_types():
+    ticks = 1 << TICK_BITS
+    StepPath(T=ticks, initial=0.0, epochs=(ticks // 2,), values=(1.0,),
+             time_bits=TICK_BITS)
+    for T, epochs in ((1.0, ()), (ticks, (0.5,)), (Fraction(ticks), ()),
+                      (ticks, (np.int64(3),)), (True, ())):
+        with pytest.raises(ValueError, match="not an int tick"):
+            StepPath(T=T, initial=0.0, epochs=epochs,
+                     values=(1.0,) * len(epochs), time_bits=TICK_BITS)
+    with pytest.raises(ValueError, match="time_bits"):
+        StepPath(T=4, initial=0.0, time_bits=2)
 
 
 # -- killing -----------------------------------------------------------------
@@ -167,7 +221,7 @@ def test_fast_forward_duration_exact(coeffs_n9):
         except EmptyRegionError:
             continue
         manual = sum((e - s) for s, e, v in p.segments() if -1.0 < v < 1.0)
-        assert out.T == manual  # exact rational arithmetic
+        assert out.T == manual  # exact integer ticks
 
 
 def test_fast_forward_commutation_exact(coeffs_n9):
@@ -187,8 +241,17 @@ def test_fast_forward_commutation_exact(coeffs_n9):
     assert mismatches == 0
 
 
+def _natural_time_in(p, z, inside):
+    """Lebesgue time p spends where inside(value) holds, up to the natural
+    time z, from its segments in exact rationals."""
+    unit = Fraction(1, 1 << p.time_bits)
+    return sum((max(Fraction(0), min(e * unit, z) - s * unit)
+                for s, e, v in p.segments() if inside(v)), Fraction(0))
+
+
 def test_time_change_invariants(coeffs_n9):
     p = next(iter(free_paths(coeffs_n9, 1, exact=True)))
+    assert p.time_bits == TICK_BITS
     out, tc = fast_forward(p, between(-1.0, 1.0), with_time_change=True)
     assert tc.a(0) == 0
     assert tc.knots_a[-1] == out.T
@@ -197,13 +260,21 @@ def test_time_change_invariants(coeffs_n9):
         da = tc.knots_a[k + 1] - tc.knots_a[k]
         dt = tc.knots_t[k + 1] - tc.knots_t[k]
         assert da == 0 or da == dt
-    for z in (Fraction(1, 7), Fraction(1, 2), Fraction(9, 5)):
+    unit = Fraction(1, 1 << TICK_BITS)
+    zs = [Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(9, 5),
+          Fraction(5, 2), p.horizon] + [e * unit for e in p.epochs]
+    increasing = 0
+    for z in zs:
         u = tc.a(z)
+        assert u == _natural_time_in(p, z, lambda v: -1.0 < v < 1.0)
         zz = tc.a_inverse(u)
-        assert zz >= z or tc.a(zz) == u
+        assert z <= zz <= p.horizon and tc.a(zz) == u
         # points of increase recover themselves
-        if tc.a(z + Fraction(1, 10 ** 9)) > u:
+        if z < p.horizon and -1.0 < p.value_at(z) < 1.0:
             assert zz == z
+            assert out.value_at(u) == p.value_at(z)
+            increasing += 1
+    assert 3 <= increasing < len(zs)
 
 
 # -- boundary-pair composition -------------------------------------------------
@@ -223,7 +294,7 @@ def test_apply_boundary_dn_route_equality(coeffs_n9):
             other = fast_forward(kill_left(p), below(1.0))
         except EmptyRegionError:
             continue
-        T = min(via_spec.T, other.T)
+        T = min(via_spec.horizon, other.horizon)
         assert via_spec.restrict(T) == other.restrict(T)
 
 
@@ -235,7 +306,7 @@ def test_apply_boundary_nd_route_equality(coeffs_n9):
             other = fast_forward(kill_right(p), above(-1.0))
         except EmptyRegionError:
             continue
-        T = min(via_spec.T, other.T)
+        T = min(via_spec.horizon, other.horizon)
         assert via_spec.restrict(T) == other.restrict(T)
 
 

@@ -7,17 +7,23 @@ sum_{j>n} T_j = sum_{k<n} (n-k) G_k, is compared with its binomial closed
 form G_0 (-1)^(n+1) binom(alpha-2, n-1).  Semigroup rows from the blocked
 uniformization are compared with scipy's dense matrix exponential.  The J1
 distance between step paths is compared with a brute-force search over time
-changes and checked to be a metric.
+changes and checked to be a metric.  On random paths with exact integer
+times, the unit conversions are checked against the float path and the
+killing, reflecting and fast-forwarding maps against their exact identities.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from oneside_levy.errors import EmptyRegionError
 from oneside_levy.grunwald import compute_coeffs
-from oneside_levy.paths import j1_distance, make_step_path
+from oneside_levy.paths import (TICK_BITS, above, below, between,
+                                fast_forward, j1_distance, kill_left,
+                                kill_right, make_step_path, reflect_left)
 from oneside_levy.ratemat import (ALL_PAIRS, build_restricted, semigroup_row,
                                   validity_report)
 from oneside_levy.symbol import LaplaceExponent, LevyMeasureSpec
@@ -161,3 +167,105 @@ def test_j1_distance_triangle_inequality(p, q, r):
     d_pq, _ = j1_distance(p, q)
     d_qr, _ = j1_distance(q, r)
     assert d_pr <= d_pq + d_qr + 1e-12
+
+
+# -- exact integer times ------------------------------------------------------
+
+# Epochs anywhere in (0, T], subnormals included; values on a quarter grid so
+# that the barriers at -1 and 1 are hit exactly.
+_SUBNORMALS = [5e-324, 2.0 ** -1060, 1e-310]
+_QUARTERS = [k / 4 for k in range(-8, 9)]
+_REGIONS = {"above": (above(-1.0), lambda v: v > -1.0),
+            "below": (below(1.0), lambda v: v < 1.0),
+            "between": (between(-1.0, 1.0), lambda v: -1.0 < v < 1.0)}
+
+
+@st.composite
+def _random_time_paths(draw, values=st.floats(-2.0, 2.0)):
+    T = draw(st.just(1.0) | st.floats(0.5, 4.0))
+    times = (st.floats(0.0, T, exclude_min=True) | st.sampled_from(_SUBNORMALS)
+             | st.sampled_from([g for g in _GRID_TIMES if g <= T]))
+    epochs = sorted(draw(st.sets(times, max_size=8)))
+    vals = draw(st.lists(values, min_size=len(epochs) + 1,
+                         max_size=len(epochs) + 1))
+    return make_step_path(T, vals[0], epochs, vals[1:])
+
+
+def _exact_paths():
+    return _random_time_paths(st.sampled_from(_QUARTERS)).map(
+        lambda p: p.with_exact_times())
+
+
+def _or_empty(f, *args):
+    try:
+        return f(*args)
+    except EmptyRegionError:
+        return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(p=_random_time_paths(), q=_random_time_paths(),
+       t=st.floats(0.0, 1.0))
+def test_exact_times_round_trip_and_read_alike(p, q, t):
+    pe, qe = p.with_exact_times(), q.with_exact_times()
+    assert pe.time_bits == TICK_BITS
+    back = pe.with_float_times()
+    assert back == p
+    assert ([x.hex() for x in (back.T, *back.epochs)]
+            == [x.hex() for x in (p.T, *p.epochs)])
+    assert pe.horizon == Fraction(p.T)
+    for s in {t * p.T, 0.0, p.T, *p.epochs}:
+        assert pe.value_at(s) == p.value_at(s)
+        assert pe.restrict(s).with_float_times() == p.restrict(s)
+    assert j1_distance(pe, qe) == j1_distance(p, q)
+    assert j1_distance(pe, q) == j1_distance(p, q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(p=_exact_paths())
+def test_exact_maps_idempotent(p):
+    assert p.time_bits == TICK_BITS
+    for kill in (kill_left, kill_right):
+        once = kill(p)
+        assert once.time_bits == TICK_BITS and kill(once) == once
+    a = min(-0.75, p.initial)
+    once = reflect_left(p, a)
+    assert reflect_left(once, a) == once
+    for region, _ in _REGIONS.values():
+        once = _or_empty(fast_forward, p, region)
+        if once is not None:
+            assert fast_forward(once, region) == once
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(p=_exact_paths())
+def test_exact_maps_commute(p):
+    assert kill_left(kill_right(p)) == kill_right(kill_left(p))
+    r1 = _or_empty(lambda x: fast_forward(fast_forward(x, above(-1.0)),
+                                          below(1.0)), p)
+    r2 = _or_empty(lambda x: fast_forward(fast_forward(x, below(1.0)),
+                                          above(-1.0)), p)
+    r3 = _or_empty(fast_forward, p, between(-1.0, 1.0))
+    assert r1 == r2 == r3
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(p=_random_time_paths(st.sampled_from(_QUARTERS)),
+       t=st.floats(0.0, 1.0))
+def test_fast_forward_time_change_on_exact_paths(p, t):
+    pe = p.with_exact_times()
+    for region, inside in _REGIONS.values():
+        try:
+            out, tc = fast_forward(pe, region, with_time_change=True)
+        except EmptyRegionError:
+            continue
+        # the horizon is the Lebesgue time in the region, summed in
+        # rationals from the float path
+        assert out.horizon == sum((Fraction(e) - Fraction(s)
+                                   for s, e, v in p.segments() if inside(v)),
+                                  Fraction(0))
+        assert tc.a(p.T) == out.horizon
+        for s in {t * p.T, 0.0, *p.epochs}:
+            if s < p.T and inside(p.value_at(s)):   # a point of increase
+                assert out.value_at(tc.a(s)) == p.value_at(s)
+                assert tc.a_inverse(tc.a(s)) == s
