@@ -3,7 +3,7 @@
 The mapped free walk is simulated in its own clock with exact excursion
 reductions (unit descent above the upper barrier, ladder completion of deep
 lower excursions), and its marginals and first-transition statistics are
-compared with the uniformization rows and the boundary-row rates of the
+compared with the semigroup rows and the boundary-row rates of the
 assembled matrices.
 """
 

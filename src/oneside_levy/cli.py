@@ -187,15 +187,26 @@ def run_scale(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
     rows = zip(x, kit.W(x), kit.Wq(x), kit.Zq(x))
     write_csv(out / "scale.csv", ["x", "W", "Wq", "Zq"], rows)
     rep = ComparisonReport("scale", dict(cfg.raw), cfg.seed)
-    zs = kit.Zq_series()
+    gap = _zq_series_gap(kit)
     rep.params["series_diag"] = {"n_terms": kit.last_n_terms,
                                  "error_estimate": kit.last_error_estimate}
-    # quadrature floor scales with the squared grid spacing
-    tol = max(1e-8, 0.3 * kit.grid.dx ** 2)
-    rep.add("Zq_series_vs_closed_rel",
-            float(np.max(np.abs(zs - kit.Zq(x)) / np.abs(kit.Zq(x)))),
-            0.0, tol)
+    # The routes differ by the series route's second-order quadrature error,
+    # which grows with q a^alpha, so no fixed tolerance in dx fits.  The gap
+    # passes below 1e-8, or when halving dx divides it by at least 3 (the
+    # tolerance is then the gap itself); a wrong closed form would leave a
+    # gap that does not shrink.
+    half = scale.ScaleKit(dataclasses.replace(kit.grid, m=2 * kit.grid.m))
+    gap_half = _zq_series_gap(half)
+    rep.params["Zq_series_vs_closed_rel_half_dx"] = gap_half
+    rep.add("Zq_series_vs_closed_rel", gap, 0.0,
+            gap if gap >= 3.0 * gap_half else 1e-8)
     return rep
+
+
+def _zq_series_gap(kit: scale.ScaleKit) -> float:
+    """Largest relative gap between the series and closed-form Z_q."""
+    zc = kit.Zq(kit.grid.nodes)
+    return float(np.max(np.abs(kit.Zq_series() - zc) / np.abs(zc)))
 
 
 def run_resolvent(cfg: ExperimentConfig, out: Path) -> ComparisonReport:

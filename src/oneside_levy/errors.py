@@ -54,4 +54,5 @@ class RangeExceededError(OnesideLevyError):
 
 
 class NonConvergenceError(OnesideLevyError):
-    """An iterated series failed to meet its remainder bound within the cap."""
+    """An iterated series or Krylov process failed to meet its error bound
+    within the cap."""

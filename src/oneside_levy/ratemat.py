@@ -12,15 +12,15 @@ every symbol and needs no weight beyond those of the interior rows
 (j_max >= n+2).  The module also provides the
 half-line matrix of the chain stopped on its first visit to the upper lattice,
 resolvent solves against its transpose, the vanishing-discount limit of those
-resolvents, matrix semigroups via uniformization, stationary vectors and mean
-absorption times.
+resolvents, matrix semigroups, stationary vectors and mean absorption
+times.
 
-A semigroup row e_{i0} exp(tQ) is the Poisson(lam t) mixture of the rows
-e_{i0} P^k, P = I + Q/lam.  They are formed in blocks of up to BLOCK_ROWS
-consecutive powers, so each step is one matrix-matrix product V <- V P^b
-instead of b memory-bound row-vector products; P^b comes from d = log2(b)
-squarings, taken only while they cost no more flops than the row products
-they serve.
+A semigroup row e_{i0} exp(tQ) comes from shift-and-invert Arnoldi on
+(I - gamma Q^T)^{-1}, gamma proportional to t, started from e_{i0}.  One LU
+factorisation of I - gamma Q serves every step, and a few dozen steps reach
+the rounding floor even at n = 999.  An a posteriori error estimate stops
+the iteration; the row is then clipped to be nonnegative and divided by its
+sum, and a correction larger than the estimate raises NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -30,15 +30,19 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
-from .errors import GridMismatchError, NonUniqueError, SingularSystemError
+from .errors import (GridMismatchError, NonConvergenceError, NonUniqueError,
+                     SingularSystemError)
 from .grunwald import GrunwaldCoeffs
 from .symbol import LaplaceExponent
 
 ROW_SUM_RTOL = 1e-10
 OFFDIAG_SLACK = 1e-12
-POISSON_TAIL_TOL = 1e-12     # Poisson mass a semigroup row may leave out
-BLOCK_ROWS = 32              # most rows of P-powers formed at once
+KRYLOV_MAX_DIM = 200         # most Arnoldi steps of one semigroup row
+SHIFT_RATIO = 20.0           # the shift is gamma = t / SHIFT_RATIO
+ROUNDING_FACTOR = 8.0        # eps (size + lam t) multiples charged to rounding
+_EPS = float(np.finfo(float).eps)
 
 _LEFT = ("D", "N", "Nstar")
 _RIGHT = ("D", "N")
@@ -298,75 +302,101 @@ def landing_law(c: GrunwaldCoeffs, m_below: int, j_cap: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class UniformizationDiag:
-    """Work of one semigroup row: Poisson steps K, the Poisson mass left out
-    (1 - sum of the K weights) and the number of squarings of P."""
+class KrylovDiag:
+    """Work and accuracy of one semigroup row: the Krylov dimension m, the
+    shift gamma, the estimated 1-norm error of the Krylov row, and the sizes
+    of the two projections (the negative mass clipped and |sum - 1| divided
+    out)."""
 
-    steps: int
-    poisson_tail: float
-    squarings: int
-
-
-def _poisson_weights(mu: float):
-    """Poisson(mu) weights w_0..w_{K-1} and their sum.
-
-    Weights are taken in log space so large horizons do not underflow; K is
-    the first count whose accumulated weight reaches 1 - POISSON_TAIL_TOL,
-    capped at mu + 12 sqrt(mu) + 50.
-    """
-    kmax = int(mu + 12.0 * math.sqrt(mu) + 50.0)
-    w = []
-    acc = 0.0
-    while len(w) <= kmax and acc < 1.0 - POISSON_TAIL_TOL:
-        k = len(w)
-        w.append(math.exp(-mu + k * math.log(mu) - math.lgamma(k + 1) if k
-                          else -mu))
-        acc += w[-1]
-    return np.array(w), acc
+    krylov_dim: int
+    gamma: float
+    error_estimate: float
+    clip: float
+    mass_correction: float
 
 
 def semigroup_row_diag(Q: RateMatrix, t: float, i0: int):
-    """Row i0 of exp(tQ) by uniformization, with its UniformizationDiag.
+    """Row i0 of exp(tQ) by shift-and-invert Arnoldi, with its KrylovDiag.
 
-    With lam the largest holding rate and P = I + Q/lam, the row is
-    sum_k w_k e_{i0} P^k over the Poisson(lam t) weights of
-    :func:`_poisson_weights`, divided by their sum.  The powers are formed
-    in blocks: V holds b = 2^d consecutive rows e_{i0} P^k..P^(k+b-1),
-    built by d doublings V <- [V; V S], S <- S S from S = P, and each block
-    step is one product V <- V P^b.  Doubling stops at BLOCK_ROWS rows or
-    once the next squaring would cost more than the K row products it
-    serves ((d+1) (n+2) > K), so short horizons keep d = 0 and plain
-    row-vector products.  Every factor is entrywise nonnegative when the
-    off-diagonal entries of Q are, so then is the row.
+    The row is exp(tA) e_{i0} for A = Q^T.  Arnoldi runs on
+    Z = (I - gamma A)^{-1}, gamma = t / SHIFT_RATIO, from e_{i0}; with
+    Z V_m ~ V_m H_m, the row is V_m expm(SHIFT_RATIO (I - H_m^{-1})) e_1.
+    I - gamma Q is factored once; each step is one solve against its
+    transpose and two passes of classical Gram-Schmidt.  Every second step
+    the change of the row in the 1-norm estimates the error of the previous
+    iterate, and the iteration stops once it falls below the rounding floor
+    ROUNDING_FACTOR eps (size + lam t) + t max_i |sum_j Q_ij|, lam the
+    largest holding rate: the conditioning of exp(tQ) and the row-sum defect
+    of Q.  The estimate reported is that change plus the floor.  A happy
+    breakdown (an invariant subspace, at the latest m = size) is exact.
+
+    The true row is nonnegative and sums to 1, so negative entries are
+    clipped and the row is divided by its sum.  Both corrections are bounded
+    by the 1-norm error; NonConvergenceError is raised when either exceeds
+    the estimate, or when KRYLOV_MAX_DIM steps do not converge.
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     size = Q.size
     v = np.zeros(size)
     v[i0] = 1.0
+    if t == 0.0:
+        return v, KrylovDiag(0, 0.0, 0.0, 0.0, 0.0)
+    gamma = t / SHIFT_RATIO
     lam = float(np.max(-np.diag(Q.Q)))
-    if t == 0.0 or lam == 0.0:
-        return v, UniformizationDiag(0, 0.0, 0)
-    w, acc = _poisson_weights(lam * t)
-    K = len(w)
-    S = Q.Q / lam
-    S.flat[:: size + 1] += 1.0
-    V = v[None, :]
-    d = 0
-    while 2 * len(V) <= BLOCK_ROWS and (d + 1) * size <= K:
-        V = np.vstack((V, V @ S))
-        S = S @ S
-        d += 1
-    b = len(V)
-    out = w[:b] @ V[:K]
-    for k in range(b, K, b):
-        V = V @ S
-        out += w[k: k + b] @ V[: K - k]
-    return out / acc, UniformizationDiag(K, 1.0 - acc, d)
+    floor = (ROUNDING_FACTOR * _EPS * (size + lam * t)
+             + t * float(np.max(np.abs(Q.Q.sum(axis=1)))))
+    # I - gamma Q in Fortran order, so that LAPACK factors it in place
+    M = np.multiply(Q.Q, -gamma, order="F")
+    M.flat[:: size + 1] += 1.0
+    lu = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
+    V = np.zeros((KRYLOV_MAX_DIM + 1, size))
+    V[0] = v
+    H = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM))
+    row, change = None, math.inf
+    for j in range(KRYLOV_MAX_DIM):
+        w = scipy.linalg.lu_solve(lu, V[j], trans=1, check_finite=False)
+        w_norm = np.linalg.norm(w)
+        for _ in range(2):
+            c = V[: j + 1] @ w
+            w -= c @ V[: j + 1]
+            H[: j + 1, j] += c
+        H[j + 1, j] = h = np.linalg.norm(w)
+        m = j + 1
+        breakdown = h <= _EPS * w_norm or m == size
+        if not breakdown:
+            V[m] = w / h
+            if m % 2:
+                continue
+        Hm = H[:m, :m]
+        u = scipy.linalg.expm(
+            SHIFT_RATIO * np.linalg.solve(Hm, Hm - np.eye(m)))[:, 0]
+        prev, row = row, u @ V[:m]
+        if breakdown:
+            change = 0.0
+            break
+        if prev is not None:
+            change = float(np.sum(np.abs(row - prev)))
+            if change <= floor:
+                break
+    else:
+        raise NonConvergenceError(
+            f"semigroup row t={t:g}: Krylov change {change:.2e} above "
+            f"{floor:.2e} after {KRYLOV_MAX_DIM} steps")
+    estimate = change + floor
+    clip = -float(np.sum(row[row < 0.0]))
+    row = np.maximum(row, 0.0)
+    mass = float(row.sum())
+    row /= mass
+    diag = KrylovDiag(m, gamma, estimate, clip, abs(mass - 1.0))
+    if max(diag.clip, diag.mass_correction) > estimate:
+        raise NonConvergenceError(
+            f"semigroup row t={t:g}: projection {diag} exceeds the estimate")
+    return row, diag
 
 
 def semigroup_row(Q: RateMatrix, t: float, i0: int) -> np.ndarray:
-    """Row i0 of exp(tQ) by uniformization (see :func:`semigroup_row_diag`)."""
+    """Row i0 of exp(tQ) (see :func:`semigroup_row_diag`)."""
     return semigroup_row_diag(Q, t, i0)[0]
 
 

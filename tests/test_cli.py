@@ -86,8 +86,11 @@ def test_report_byte_identical_modulo_wall_clock(tmp_path, command, body):
         steps = json.loads(raw)["params"]["semigroup_diag"]
         assert [d["t"] for d in steps] == [0.1, 0.5]
         for d in steps:
-            assert set(d) == {"t", "steps", "poisson_tail", "squarings"}
-            assert d["steps"] > 0 and 0.0 <= d["poisson_tail"] < 1e-10
+            assert set(d) == {"t", "krylov_dim", "gamma", "error_estimate",
+                              "clip", "mass_correction"}
+            assert 0 < d["krylov_dim"] <= 11 and d["gamma"] == d["t"] / 20
+            assert 0.0 < d["error_estimate"] < 1e-10
+            assert max(d["clip"], d["mass_correction"]) <= d["error_estimate"]
     if command == "scale":
         diag = json.loads(raw)["params"]["series_diag"]
         assert set(diag) == {"n_terms", "error_estimate"}
@@ -107,6 +110,21 @@ def test_scale_and_resolvent_and_exit(tmp_path):
     rep = json.loads((out / "report_exit.json").read_text())
     assert rep["all_pass"]
     assert rep["params"]["coordinate_bridge"].startswith("x_scale")
+
+
+def test_scale_gate_at_large_q_a_alpha(tmp_path):
+    # q a^alpha = 11.4: the series and closed forms differ by a quadrature
+    # gap of 2.6e-5 at m = 2000, far above any fixed tolerance in dx, and
+    # the gap shrinks about 4x on the dx/2 grid.
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(BASE.replace("symbol.alpha = 1.5", "symbol.alpha = 1.026")
+                   + "a = 2.75\nq = 4.07\nm = 2000\n")
+    out = tmp_path / "big"
+    assert main(["scale", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "report_scale.json").read_text())
+    gap = rep["metrics"][0]["value_a"]
+    assert gap > 1e-5
+    assert gap >= 3.0 * rep["params"]["Zq_series_vs_closed_rel_half_dx"]
 
 
 def test_semigroup_with_mc(tmp_path):

@@ -35,7 +35,7 @@ def test_reentry_table_matches_closed_form(coeffs):
     assert cum[-1] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_marginals_match_uniformization(stable_exp, coeffs, reentry):
+def test_marginals_match_semigroup_rows(stable_exp, coeffs, reentry):
     n_paths = 20_000
     times = (0.1, 0.5)
     c_mat = compute_coeffs(stable_exp, H, 4 * (N + 1))

@@ -4,14 +4,18 @@ Every boundary pair is built at the depth the command line uses,
 j_max = 4(n+1), and must pass every check of :func:`validity_report`.  For
 the untempered family the ND corner, computed by the finite identity
 sum_{j>n} T_j = sum_{k<n} (n-k) G_k, is compared with its binomial closed
-form G_0 (-1)^(n+1) binom(alpha-2, n-1).  Semigroup rows from the blocked
-uniformization are compared with scipy's dense matrix exponential.  The J1
-distance between step paths is compared with a brute-force search over time
-changes and checked to be a metric.  On random paths with exact integer
-times, the unit conversions are checked against the float path and the
-killing, reflecting and fast-forwarding maps against their exact identities.
+form G_0 (-1)^(n+1) binom(alpha-2, n-1).  The NN interior block has
+vanishing column sums, so its stationary vector is flat.  Krylov semigroup
+rows are compared with scipy's dense matrix exponential, and their error
+estimates must bound the gap.  The J1 distance between step paths is
+compared with a brute-force search over time changes and checked to be a
+metric.  On random paths with exact integer times, the unit conversions
+are checked against the float path, the killing, reflecting and
+fast-forwarding maps against their exact identities, and the reflections
+against the minimal-pushing rules.
 """
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -23,8 +27,10 @@ from oneside_levy.errors import EmptyRegionError
 from oneside_levy.grunwald import compute_coeffs
 from oneside_levy.paths import (TICK_BITS, above, below, between,
                                 fast_forward, j1_distance, kill_left,
-                                kill_right, make_step_path, reflect_left)
-from oneside_levy.ratemat import (ALL_PAIRS, build_restricted, semigroup_row,
+                                kill_right, make_step_path, reflect_left,
+                                reflect_right, reflect_two_sided)
+from oneside_levy.ratemat import (ALL_PAIRS, BoundaryPair, build_restricted,
+                                  semigroup_row_diag, stationary_interior,
                                   validity_report)
 from oneside_levy.symbol import LaplaceExponent, LevyMeasureSpec
 
@@ -52,6 +58,22 @@ def test_all_pairs_valid_at_cli_depth(binom_oracle, alpha, lam, n):
             assert abs(Q.Q[1, n + 1] - closed) <= 1e-12 * abs(c.g[1])
 
 
+# The NN boundary rows are negated partial sums of the interior weights, so
+# every interior column sums to zero and the uniform vector is stationary at
+# every mesh.
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+       lam=st.just(0.0) | st.floats(0.0, 3.0),
+       n=st.integers(3, 200))
+def test_nn_interior_column_sums_vanish(alpha, lam, n):
+    exp = LaplaceExponent(LevyMeasureSpec.tempered_stable(alpha, lam))
+    c = compute_coeffs(exp, 2.0 / (n + 1), 4 * (n + 1))
+    Q = build_restricted(c, n, BoundaryPair.from_label("NN"))
+    col_sums = Q.Q[1: n + 1, 1: n + 1].sum(axis=0)
+    assert np.max(np.abs(col_sums)) <= 1e-12 * abs(c.g[1])
+    assert np.max(np.abs(stationary_interior(Q) - 1.0 / n)) <= 1e-12
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
        lam=st.just(0.0) | st.floats(0.0, 3.0),
@@ -64,8 +86,9 @@ def test_semigroup_row_matches_expm(alpha, lam, bc, n, t, i0_frac):
     Q = build_restricted(compute_coeffs(exp, 2.0 / (n + 1), 4 * (n + 1)), n,
                          bc)
     i0 = 1 + min(n - 1, int(i0_frac * n))
-    row = semigroup_row(Q, t, i0)
-    assert np.max(np.abs(row - scipy.linalg.expm(t * Q.Q)[i0])) <= 1e-10
+    row, diag = semigroup_row_diag(Q, t, i0)
+    err = np.max(np.abs(row - scipy.linalg.expm(t * Q.Q)[i0]))
+    assert err <= 1e-10 and err <= diag.error_estimate
     if np.all(Q.Q - np.diag(np.diag(Q.Q)) >= 0.0):
         assert row.min() >= 0.0
     assert row.sum() <= 1.0 + 1e-12
@@ -269,3 +292,44 @@ def test_fast_forward_time_change_on_exact_paths(p, t):
             if s < p.T and inside(p.value_at(s)):   # a point of increase
                 assert out.value_at(tc.a(s)) == p.value_at(s)
                 assert tc.a_inverse(tc.a(s)) == s
+
+
+def _stored_value(p, s):
+    """Value of p at the time s given in its stored unit."""
+    k = bisect.bisect_right(p.epochs, s)
+    return p.values[k - 1] if k else p.initial
+
+
+def _check_minimal_pushing(p, out, pushes, lo, hi):
+    """out = p + sum of sign * eta stays in [lo, hi]; each pushing path eta
+    starts at 0, never decreases and grows only at epochs where out sits on
+    its barrier; no two pushing paths grow at the same epoch."""
+    assert all(eta.initial == 0.0 for eta, _, _ in pushes)
+    before = [0.0] * len(pushes)
+    for s in (0, *p.epochs):
+        v = _stored_value(out, s)
+        now = [_stored_value(eta, s) for eta, _, _ in pushes]
+        assert v == _stored_value(p, s) + sum(
+            sign * e for e, (_, _, sign) in zip(now, pushes))
+        assert lo <= v <= hi
+        grew = [e > e0 for e, e0 in zip(now, before)]
+        assert all(e >= e0 for e, e0 in zip(now, before))
+        assert all(v == barrier
+                   for g, (_, barrier, _) in zip(grew, pushes) if g)
+        assert sum(grew) <= 1
+        before = now
+
+
+# Values on the quarter grid keep every sum exact, so "on the barrier" is
+# an exact equality.
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(p=_exact_paths())
+def test_reflection_pushes_minimally(p):
+    a, b = min(-0.75, p.initial), max(0.75, p.initial)
+    out, eta = reflect_left(p, a, with_pushing=True)
+    _check_minimal_pushing(p, out, [(eta, a, 1)], a, math.inf)
+    out, eta = reflect_right(p, b, with_pushing=True)
+    _check_minimal_pushing(p, out, [(eta, b, -1)], -math.inf, b)
+    out, eta_a, eta_b = reflect_two_sided(p, a, b, with_pushing=True)
+    assert out.time_bits == eta_a.time_bits == eta_b.time_bits == TICK_BITS
+    _check_minimal_pushing(p, out, [(eta_a, a, 1), (eta_b, b, -1)], a, b)

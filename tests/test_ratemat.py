@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from oneside_levy.errors import GridMismatchError, NonUniqueError
+from oneside_levy import ratemat
+from oneside_levy.errors import GridMismatchError, NonConvergenceError
 from oneside_levy.grunwald import compute_coeffs
-from oneside_levy.ratemat import (ALL_PAIRS, BoundaryPair, build_restricted,
-                                  build_stopped, ergodic_limit_z, landing_law,
+from oneside_levy.ratemat import (ALL_PAIRS, BoundaryPair, KrylovDiag,
+                                  build_restricted, build_stopped,
+                                  ergodic_limit_z, landing_law,
                                   mean_absorption, resolvent_transpose_e,
                                   semigroup_row, semigroup_row_diag,
                                   stationary_interior,
                                   stopped_resolvent_profile, validity_report)
+from oneside_levy.symbol import LaplaceExponent, LevyMeasureSpec
 
 
 def coeffs_for_n(exp, n, factor=4):
@@ -97,8 +101,6 @@ def test_grid_mismatch_raises(stable_exp, coeffs_h1):
 
 
 def test_tempered_family_builds_all_pairs():
-    from oneside_levy.symbol import LaplaceExponent, LevyMeasureSpec
-
     texp = LaplaceExponent(LevyMeasureSpec.tempered_stable(1.5, 2.0))
     c = compute_coeffs(texp, 0.2, 200)
     for bc in ALL_PAIRS:
@@ -115,8 +117,6 @@ def test_tempered_family_builds_all_pairs():
 def test_tempered_nd_corner_at_cli_depth(n):
     # The CLI builds with j_max = 4(n+1); the corner must match the partial
     # sum of tails from a table deep enough for the tempered tails to vanish.
-    from oneside_levy.symbol import LaplaceExponent, LevyMeasureSpec
-
     texp = LaplaceExponent(LevyMeasureSpec.tempered_stable(1.5, 0.5))
     h = 2.0 / (n + 1)
     c = compute_coeffs(texp, h, 4 * (n + 1))
@@ -205,7 +205,7 @@ def test_semigroup_row_basics(stable_exp):
 
 
 def test_semigroup_row_series_oracle(stable_exp):
-    # uniformization against a brute-force truncated matrix exponential
+    # the Krylov row against a brute-force truncated matrix exponential
     n = 5
     c = coeffs_for_n(stable_exp, n)
     Q = build_restricted(c, n, BoundaryPair.from_label("NN"))
@@ -219,7 +219,8 @@ def test_semigroup_row_series_oracle(stable_exp):
 
 
 def _dense_uniformization(Q, t, i0):
-    """One row-vector product per Poisson step (reference for the blocks)."""
+    """Row i0 of exp(tQ) by uniformization, one row-vector product per
+    Poisson step (an oracle independent of the Krylov route)."""
     v = np.zeros(Q.size)
     v[i0] = 1.0
     lam = float(np.max(-np.diag(Q.Q)))
@@ -234,44 +235,63 @@ def _dense_uniformization(Q, t, i0):
         acc += w
         v = v @ P
         k += 1
-    return out / acc, k, 1.0 - acc
+    return out / acc
 
 
-def _first_t(Q, ts, accept):
-    for t in ts:
-        _, diag = semigroup_row_diag(Q, t, 1)
-        if accept(diag):
-            return t
-    raise AssertionError("no horizon in the scan has the block layout")
-
-
-def test_semigroup_row_block_edges(stable_exp):
-    # d = 0 (plain row products), K an exact multiple of the block rows
-    # b = 2^d, K not a multiple, and K >> b at the full 32-row block.
+def test_semigroup_row_krylov_edges(stable_exp):
+    # t = 0 takes no step; at n = 3 the Krylov space is the whole state
+    # space (a happy breakdown at m <= n + 2); an absorbing start breaks down
+    # at m = 1; a long horizon t = 400 uses gamma = 20.
     n = 9
-    c = coeffs_for_n(stable_exp, n)
-    Q = build_restricted(c, n, BoundaryPair.from_label("DN"))
-    ts = np.linspace(0.01, 3.0, 300)
-    cases = [
-        _first_t(Q, ts, lambda d: d.squarings == 0),
-        _first_t(Q, ts, lambda d: d.squarings >= 2
-                 and d.steps % 2 ** d.squarings == 0),
-        _first_t(Q, ts, lambda d: d.squarings >= 2
-                 and d.steps % 2 ** d.squarings != 0),
-        400.0,
-    ]
-    for t in cases:
-        for i0 in (1, 5, n):
-            row, diag = semigroup_row_diag(Q, t, i0)
-            ref, steps, tail = _dense_uniformization(Q, t, i0)
-            assert (diag.steps, diag.poisson_tail) == (steps, tail)
-            assert np.max(np.abs(row - ref)) <= 1e-13
-            assert row.min() >= 0.0
-    diag = semigroup_row_diag(Q, 400.0, 1)[1]
-    assert diag.squarings == 5 and diag.steps > 100 * 32
+    Q = build_restricted(coeffs_for_n(stable_exp, n), n,
+                         BoundaryPair.from_label("DN"))
     row, diag = semigroup_row_diag(Q, 0.0, 3)
     assert row[3] == row.sum() == 1.0
-    assert (diag.steps, diag.poisson_tail, diag.squarings) == (0, 0.0, 0)
+    assert diag == KrylovDiag(0, 0.0, 0.0, 0.0, 0.0)
+    Q3 = build_restricted(coeffs_for_n(stable_exp, 3), 3,
+                          BoundaryPair.from_label("DN"))
+    for t in (0.3, 2.0):
+        row, diag = semigroup_row_diag(Q3, t, 2)
+        assert diag.krylov_dim <= Q3.size
+        err = np.max(np.abs(row - scipy.linalg.expm(t * Q3.Q)[2]))
+        assert err <= min(diag.error_estimate, 1e-14)
+    row, diag = semigroup_row_diag(Q, 1.0, 0)
+    assert diag.krylov_dim == 1 and row[0] == row.sum() == 1.0
+    for i0 in (1, 5, n):
+        row, diag = semigroup_row_diag(Q, 400.0, i0)
+        assert diag.gamma == 20.0
+        err = np.max(np.abs(row - _dense_uniformization(Q, 400.0, i0)))
+        assert err <= diag.error_estimate and err <= 1e-12
+        assert row.min() >= 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.9])
+def test_semigroup_row_matches_expm_at_n499(alpha):
+    # A size the property tests never reach: m stays far below n + 2, so the
+    # stopping rule, not a breakdown, ends the iteration.
+    n, t = 499, 1.0
+    exp = LaplaceExponent(LevyMeasureSpec.stable(alpha))
+    c = compute_coeffs(exp, 2.0 / (n + 1), 4 * (n + 1))
+    for bc in ALL_PAIRS:
+        Q = build_restricted(c, n, bc)
+        i0 = (n + 1) // 2
+        row, diag = semigroup_row_diag(Q, t, i0)
+        err = np.max(np.abs(row - scipy.linalg.expm(t * Q.Q)[i0]))
+        assert err <= 1e-10 and err <= diag.error_estimate, (bc.label, diag)
+        assert diag.krylov_dim < 100
+        assert row.min() >= 0.0
+        assert row.sum() <= 1.0 + 1e-12
+        if "D" not in bc.label:
+            assert abs(row[1: n + 1].sum() - 1.0) <= 1e-12
+
+
+def test_semigroup_row_raises_without_convergence(stable_exp, monkeypatch):
+    n = 99
+    Q = build_restricted(coeffs_for_n(stable_exp, n), n,
+                         BoundaryPair.from_label("NN"))
+    monkeypatch.setattr(ratemat, "KRYLOV_MAX_DIM", 6)
+    with pytest.raises(NonConvergenceError):
+        semigroup_row_diag(Q, 1.0, 50)
 
 
 def test_stationary_interior_nn(stable_exp):
