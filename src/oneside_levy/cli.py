@@ -313,23 +313,24 @@ def run_j1(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
 
 
 _RUNNERS = {
-    "coeffs": lambda cfg, out, fmt: run_coeffs(cfg, out),
-    "matrix": lambda cfg, out, fmt: run_matrix(cfg, out),
-    "validate": lambda cfg, out, fmt: run_validate(cfg, out),
+    "coeffs": run_coeffs,
+    "matrix": run_matrix,
+    "validate": run_validate,
     "simulate": run_simulate,
-    "semigroup": lambda cfg, out, fmt: run_semigroup(cfg, out),
-    "scale": lambda cfg, out, fmt: run_scale(cfg, out),
-    "resolvent": lambda cfg, out, fmt: run_resolvent(cfg, out),
-    "exit": lambda cfg, out, fmt: run_exit(cfg, out),
-    "convergence": lambda cfg, out, fmt: run_convergence(cfg, out),
-    "j1": lambda cfg, out, fmt: run_j1(cfg, out),
+    "semigroup": run_semigroup,
+    "scale": run_scale,
+    "resolvent": run_resolvent,
+    "exit": run_exit,
+    "convergence": run_convergence,
+    "j1": run_j1,
 }
 
 
 def run_experiment(cfg: ExperimentConfig, out: Path,
                    fmt: str = "csv") -> ComparisonReport:
     out.mkdir(parents=True, exist_ok=True)
-    rep = _RUNNERS[cfg.kind](cfg, out, fmt)
+    rep = (run_simulate(cfg, out, fmt) if cfg.kind == "simulate"
+           else _RUNNERS[cfg.kind](cfg, out))
     rep.write(out / f"report_{cfg.kind}.json")
     return rep
 

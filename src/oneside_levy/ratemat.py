@@ -11,9 +11,11 @@ equals the finite sum_{k<n} (n-k) G_k = -(T_1 + ... + T_n), which holds for
 every symbol and needs no weight beyond those of the interior rows
 (j_max >= n+2).  The module also provides the
 half-line matrix of the chain stopped on its first visit to the upper lattice,
-resolvent solves against its transpose, the vanishing-discount limit of those
-resolvents, matrix semigroups, stationary vectors and mean absorption
-times.
+resolvent solves against its transpose, its exact absorption law (the
+vanishing-discount limit of beta times those resolvents, and the walk's
+first-entry law), matrix semigroups, stationary vectors and mean absorption
+times.  Every linear system is built in Fortran order and factored in place;
+a zero pivot or a non-finite solution raises a named error.
 
 A semigroup row e_{i0} exp(tQ) comes from shift-and-invert Arnoldi on
 (I - gamma Q^T)^{-1}, gamma proportional to t, started from e_{i0}.  One LU
@@ -26,6 +28,7 @@ sum, and a correction larger than the estimate raises NonConvergenceError.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -175,13 +178,35 @@ def build_stopped(c: GrunwaldCoeffs, m_below: int, k_above: int) -> RateMatrix:
     Q = np.zeros((size, size))
     g = c.g
     for row in range(m_below + 1):           # levels -m_below..0
-        i = row - m_below
         ncols = min(size - row, c.j_max + 1)
         Q[row, row: row + ncols] = g[1: ncols + 1]
         if row >= 1:
             Q[row, row - 1] = g[0]
     return RateMatrix(Q=Q, h=c.h, bc="stopped-truncated", index_lo=-m_below,
                       coeffs=c)
+
+
+def _factor(A: np.ndarray, scale: float = 1.0, shift: float = 0.0,
+            error: type = SingularSystemError):
+    """Factor scale*A + shift*I, built in Fortran order and overwritten by
+    LAPACK (pass a transposed view for a transpose); return solve(rhs,
+    trans=0).  A zero pivot or a non-finite solution raises error."""
+    M = np.multiply(A, scale, order="F")
+    M.flat[:: M.shape[0] + 1] += shift
+    with warnings.catch_warnings():
+        # a zero pivot is raised below as the caller's error
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
+    if not np.all(np.diagonal(lu[0])):
+        raise error(f"singular {M.shape[0]}-state system (zero pivot)")
+
+    def solve(rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        x = scipy.linalg.lu_solve(lu, rhs, trans=trans, check_finite=False)
+        if not np.all(np.isfinite(x)):
+            raise error("linear solve produced non-finite entries")
+        return x
+
+    return solve
 
 
 def resolvent_transpose_e(Q: RateMatrix, beta: float, i0: int) -> np.ndarray:
@@ -193,14 +218,21 @@ def resolvent_transpose_e(Q: RateMatrix, beta: float, i0: int) -> np.ndarray:
         raise IndexError(f"i0={i0} outside 0..{size - 1}")
     rhs = np.zeros(size)
     rhs[i0] = 1.0
-    A = beta * np.eye(size) - Q.Q.T
-    try:
-        x = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("resolvent solve produced non-finite entries")
-    return x
+    return _factor(Q.Q.T, -1.0, beta)(rhs)
+
+
+def _absorption_law(Q: RateMatrix, row: int) -> np.ndarray:
+    """Law of the level where the stopped chain started at row is absorbed:
+    the Green row e_row (-B)^{-1} of the transient block B (levels
+    index_lo..0, where the law is exactly 0) times the rates into each upper
+    level.  It falls short of 1 by the mass lost below index_lo."""
+    t = Q.state_index(0) + 1
+    e = np.zeros(t)
+    e[row] = 1.0
+    w = _factor(Q.Q[:t, :t].T, -1.0)(e)
+    law = np.zeros(Q.size)
+    law[t:] = w @ Q.Q[:t, t:]
+    return law
 
 
 def stopped_resolvent_profile(exp: LaplaceExponent, c: GrunwaldCoeffs,
@@ -238,60 +270,33 @@ def ergodic_limit_z(Q_stopped: RateMatrix, beta_sequence: Sequence[float],
                     i0_level: int = 0):
     """Vanishing-discount limit of beta * resolvent at the stopping source.
 
-    Solves at each beta in the (decreasing) sequence and extrapolates the
-    componentwise polynomial in beta to 0.  Returns (extrapolated, raw at the
-    smallest beta).
+    The limit is the exact absorption law of the stopped chain started at
+    i0_level (one solve; 0 on the transient levels index_lo..0).  The betas
+    serve only for raw, the smallest beta times its resolvent, which is
+    O(beta) away from the limit.  Returns (limit, raw).
     """
-    betas = sorted(beta_sequence, reverse=True)
-    if betas[-1] <= 0.0:
+    if Q_stopped.bc != "stopped-truncated":
+        raise ValueError("the absorption law needs a stopped matrix")
+    if not Q_stopped.index_lo <= i0_level <= 0:
+        raise ValueError(f"i0_level={i0_level} is not a transient level")
+    beta = min(beta_sequence)
+    if beta <= 0.0:
         raise ValueError("betas must be positive")
     row = Q_stopped.state_index(i0_level)
-    vals = []
-    for b in betas:
-        x = resolvent_transpose_e(Q_stopped, b, row)
-        vals.append(b * x)
-    V = np.array(vals)                       # (n_beta, size)
-    bs = np.array(betas)
-    # Vandermonde extrapolation to beta = 0; the constant coefficient is the
-    # limit.  Scale betas to avoid conditioning trouble.
-    s = bs / bs.max()
-    M = np.vander(s, increasing=True)
-    coef = np.linalg.solve(M, V)
-    return coef[0], V[-1]
+    return (_absorption_law(Q_stopped, row),
+            beta * resolvent_transpose_e(Q_stopped, beta, row))
 
 
 def landing_law(c: GrunwaldCoeffs, m_below: int, j_cap: int) -> np.ndarray:
     """First-entry law into levels >= 1 for the free walk started at level 0.
 
-    Computed from the truncated stopped dynamics by linear algebra: with B the
-    transient block (levels -m_below..0) and w the Green row of level 0,
-    the probability of first entering at level j is sum_i w_i G_{j-i+1}.
-    Normalised over 1..j_cap (the truncation leak below -m_below is O(1/
-    m_below^(alpha-1)) and is folded back proportionally).
+    The absorption law of the chain stopped above level 0 and truncated
+    below -m_below, over levels 1..j_cap (z[0] = 0); the mass beyond j_cap
+    and the truncation leak, O(1/m_below^(alpha-1)), go to z[j_cap].
     """
-    size = m_below + 1
-    if c.j_max < j_cap + m_below + 1:
-        raise ValueError("j_max too small for the requested landing span")
-    B = np.zeros((size, size))
-    g = c.g
-    for row in range(size):
-        ncols = min(size - row, c.j_max + 1)
-        B[row, row: row + ncols] = g[1: ncols + 1]
-        if row >= 1:
-            B[row, row - 1] = g[0]
-    rhs = np.zeros(size)
-    rhs[-1] = 1.0                            # level 0
-    try:
-        w = np.linalg.solve(-B.T, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    # z_j = sum over transient levels of occupation time * rate of jumping
-    # straight to level j; level of row i is i - m_below.
-    wr = w[::-1]
-    z = np.empty(j_cap + 1)
-    z[0] = 0.0
-    for j in range(1, j_cap + 1):
-        z[j] = float(wr @ g[j + 1: j + 1 + size])
+    Q = build_stopped(c, m_below, j_cap)
+    top = Q.state_index(0)
+    z = _absorption_law(Q, top)[top:]
     total = z.sum()
     if not 0.5 < total <= 1.0 + 1e-9:
         raise SingularSystemError(f"landing law mass {total:g} implausible")
@@ -346,16 +351,13 @@ def semigroup_row_diag(Q: RateMatrix, t: float, i0: int):
     lam = float(np.max(-np.diag(Q.Q)))
     floor = (ROUNDING_FACTOR * _EPS * (size + lam * t)
              + t * float(np.max(np.abs(Q.Q.sum(axis=1)))))
-    # I - gamma Q in Fortran order, so that LAPACK factors it in place
-    M = np.multiply(Q.Q, -gamma, order="F")
-    M.flat[:: size + 1] += 1.0
-    lu = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
+    solve = _factor(Q.Q, -gamma, 1.0)        # I - gamma Q
     V = np.zeros((KRYLOV_MAX_DIM + 1, size))
     V[0] = v
     H = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM))
     row, change = None, math.inf
     for j in range(KRYLOV_MAX_DIM):
-        w = scipy.linalg.lu_solve(lu, V[j], trans=1, check_finite=False)
+        w = solve(V[j], trans=1)
         w_norm = np.linalg.norm(w)
         for _ in range(2):
             c = V[: j + 1] @ w
@@ -369,8 +371,9 @@ def semigroup_row_diag(Q: RateMatrix, t: float, i0: int):
             if m % 2:
                 continue
         Hm = H[:m, :m]
-        u = scipy.linalg.expm(
-            SHIFT_RATIO * np.linalg.solve(Hm, Hm - np.eye(m)))[:, 0]
+        D = Hm.copy()
+        D.flat[:: m + 1] -= 1.0              # H_m - I
+        u = scipy.linalg.expm(SHIFT_RATIO * _factor(Hm)(D))[:, 0]
         prev, row = row, u @ V[:m]
         if breakdown:
             change = 0.0
@@ -406,14 +409,11 @@ def stationary_interior(Q: RateMatrix) -> np.ndarray:
         raise ValueError("stationary vector is defined for the NN pair only")
     n = Q.n
     A = Q.Q[1: n + 1, 1: n + 1].T.copy()
-    A[-1, :] = 1.0
+    A[-1, :] = 1.0                           # sum(pi) = 1 replaces one equation
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NonUniqueError(str(exc)) from exc
-    if np.any(pi < -1e-10) or not np.all(np.isfinite(pi)):
+    pi = _factor(A, error=NonUniqueError)(rhs)
+    if np.any(pi < -1e-10):
         raise NonUniqueError("interior chain looks reducible")
     return pi / pi.sum()
 
@@ -425,13 +425,7 @@ def mean_absorption(Q: RateMatrix, from_index: int) -> float:
     n = Q.n
     if not 1 <= from_index <= n:
         raise IndexError(f"from_index={from_index} is not interior")
-    A = Q.Q[1: n + 1, 1: n + 1]
-    try:
-        m = np.linalg.solve(A, -np.ones(n))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    if not np.all(np.isfinite(m)):
-        raise SingularSystemError("absorption solve produced non-finite entries")
+    m = _factor(Q.Q[1: n + 1, 1: n + 1])(-np.ones(n))
     return float(m[from_index - 1])
 
 

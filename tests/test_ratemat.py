@@ -5,10 +5,11 @@ import pytest
 import scipy.linalg
 
 from oneside_levy import ratemat
-from oneside_levy.errors import GridMismatchError, NonConvergenceError
+from oneside_levy.errors import (GridMismatchError, NonConvergenceError,
+                                 NonUniqueError, SingularSystemError)
 from oneside_levy.grunwald import compute_coeffs
 from oneside_levy.ratemat import (ALL_PAIRS, BoundaryPair, KrylovDiag,
-                                  build_restricted, build_stopped,
+                                  RateMatrix, build_restricted, build_stopped,
                                   ergodic_limit_z, landing_law,
                                   mean_absorption, resolvent_transpose_e,
                                   semigroup_row, semigroup_row_diag,
@@ -177,6 +178,50 @@ def test_ergodic_limit_small_system(stable_exp):
     assert z[i(1)] == pytest.approx(0.5, abs=2e-3)
     assert z[i(2)] == pytest.approx(0.125, abs=2e-3)
     assert abs(raw[i(1)] - 0.5) < 5e-3
+    # the limit is the absorption law: exactly 0 on the transient levels,
+    # and landing_law's law before it lumps the missing mass into j_cap
+    assert not z[: i(0) + 1].any()
+    landing = landing_law(c, 800, 8)
+    landing[8] -= 1.0 - z.sum()
+    assert np.max(np.abs(z[i(1):] - landing[1:])) <= 1e-14
+
+
+def test_discounted_resolvent_approaches_the_limit(stable_exp):
+    c = compute_coeffs(stable_exp, 0.1, 1000)
+    Q = build_stopped(c, 800, 8)
+    z, _ = ergodic_limit_z(Q, [1.0])
+    for beta in (1e-3, 1e-4, 1e-5, 1e-6):
+        x = resolvent_transpose_e(Q, beta, Q.state_index(0))
+        assert np.sum(np.abs(beta * x - z)) <= 50.0 * beta
+        _, raw = ergodic_limit_z(Q, [1.0, beta])
+        assert np.array_equal(raw, beta * x)
+
+
+def test_ergodic_limit_rejects_bad_input(stable_exp, coeffs_h1):
+    Q = build_stopped(coeffs_h1, 12, 12)
+    with pytest.raises(ValueError):
+        ergodic_limit_z(Q, [1e-3], i0_level=1)
+    with pytest.raises(ValueError):
+        ergodic_limit_z(Q, [1e-3], i0_level=-13)
+    with pytest.raises(ValueError):
+        ergodic_limit_z(Q, [0.0])
+    restricted = build_restricted(coeffs_for_n(stable_exp, 9), 9,
+                                  BoundaryPair.from_label("DD"))
+    with pytest.raises(ValueError):
+        ergodic_limit_z(restricted, [1e-3])
+
+
+def test_zero_interior_block_raises_named_errors():
+    n = 5
+    zero = np.zeros((n + 2, n + 2))
+    Qnd = RateMatrix(Q=zero, h=2.0 / (n + 1), n=n,
+                     bc=BoundaryPair.from_label("ND"))
+    with pytest.raises(SingularSystemError):
+        mean_absorption(Qnd, 3)
+    Qnn = RateMatrix(Q=zero, h=2.0 / (n + 1), n=n,
+                     bc=BoundaryPair.from_label("NN"))
+    with pytest.raises(NonUniqueError):
+        stationary_interior(Qnn)
 
 
 def test_landing_law_matches_closed_form(stable_exp):
