@@ -30,7 +30,11 @@ _SIGN_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class GrunwaldCoeffs:
-    """Weights G_0..G_{j_max} with exact tail sums T_0..T_{j_max+1}."""
+    """Weights G_0..G_{j_max} with exact tail sums T_0..T_{j_max+1}.
+
+    tail[j] = T_j = -sum_{k<j} G_k (= sum_{k>=j} G_k when the series sums
+    to 0).
+    """
 
     h: float
     g: np.ndarray
@@ -49,12 +53,6 @@ class GrunwaldCoeffs:
         """Rate of leaving any interior grid point, -G_1."""
         return -float(self.g[1])
 
-    def tail_sum(self, j: int) -> float:
-        """T_j = -sum_{k<j} G_k (= sum_{k>=j} G_k when the series sums to 0)."""
-        if not 0 <= j <= self.j_max + 1:
-            raise IndexError(f"tail index {j} outside 0..{self.j_max + 1}")
-        return float(self.tail[j])
-
 
 def compute_coeffs(exp: LaplaceExponent, h: float, j_max: int) -> GrunwaldCoeffs:
     """Expand psi((1-xi)/h) to order j_max.
@@ -69,11 +67,10 @@ def compute_coeffs(exp: LaplaceExponent, h: float, j_max: int) -> GrunwaldCoeffs
     if j_max < 2:
         raise ValueError(f"j_max must be >= 2, got {j_max}")
     m = exp.measure
-    if m.kind in ("stable", "tempered_stable"):
-        g = _binomial_weights(m.alpha, m.lam if m.kind == "tempered_stable" else 0.0,
-                              h, j_max, exp)
-    else:
+    if m.kind == "custom":
         g = _moment_weights(exp, h, j_max)
+    else:
+        g = _binomial_weights(m.alpha, m.lam, h, j_max, exp)
     tail = np.concatenate(([0.0], -np.cumsum(g)))
     return GrunwaldCoeffs(h=h, g=g, tail=tail, j_max=j_max)
 

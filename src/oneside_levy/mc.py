@@ -15,8 +15,8 @@ two exact reductions:
   the landing law computed by linear algebra in :func:`ratemat.landing_law`.
 
 Shallow below-barrier excursions (the overwhelming majority) are simulated
-step by step; only excursions exceeding a step budget fall back to the ladder
-completion, and every completion is counted and reported.
+step by step; only excursions longer than EXC_BUDGET steps fall back to the
+ladder completion, and every completion is counted and reported.
 
 Paths are advanced in lockstep blocks with one counter-based stream per
 block, so results are independent of worker scheduling.  A block holds only
@@ -45,6 +45,7 @@ _LADDER_TAG = 0x1ADD
 _MAX_ITERS = 2_000_000
 _BLOCK_SIZE = 8192          # paths per lockstep block and stream pair
 _TAIL_EPS = 1e-5            # largest jump-tail mass the step table may lump
+EXC_BUDGET = 2048           # excursion steps before a ladder completion
 
 
 @dataclass
@@ -84,13 +85,15 @@ def reentry_table(c: GrunwaldCoeffs, m_below: int = 3000,
         if c.j_max < j_cap + 2:
             raise ValueError("j_max too small for the requested table")
         z = np.asarray(c.tail[2: j_cap + 2]) / c.g[0]
-        cum = np.cumsum(z)
-        cum[-1] = max(cum[-1], 1.0)      # beyond-cap mass lumped at j_cap
-        return np.minimum(cum, 1.0)
-    if mode != "greens":
+        cum = np.minimum(np.cumsum(z), 1.0)
+    elif mode == "greens":
+        cum = np.cumsum(landing_law(c, m_below, j_cap)[1:])
+    else:
         raise ValueError(f"unknown reentry table mode {mode!r}")
-    z = landing_law(c, m_below, j_cap)
-    return np.cumsum(z[1:])
+    # beyond-cap mass is lumped at j_cap; ending at exactly 1 keeps every
+    # draw u < 1 inside the table
+    cum[-1] = 1.0
+    return cum
 
 
 def _ladder_complete(level: int, cum: np.ndarray,
@@ -115,7 +118,6 @@ def mapped_process_mc(c: GrunwaldCoeffs, bc: BoundaryPair, n: int, i0: int,
                       n_paths: int, seed: int,
                       probe_times: Optional[Sequence[float]] = None,
                       collect_absorption: bool = False,
-                      exc_budget: int = 2048,
                       reentry_cum: Optional[np.ndarray] = None):
     """Simulate the boundary-mapped free walk in its own (region) clock.
 
@@ -139,12 +141,11 @@ def mapped_process_mc(c: GrunwaldCoeffs, bc: BoundaryPair, n: int, i0: int,
     if bc.left == "N" and reentry_cum is None:
         reentry_cum = reentry_table(c)
     counts, clock, _, diag = _simulate(c, bc, n, i0, n_paths, seed, probes,
-                                       exc_budget, reentry_cum)
+                                       reentry_cum)
     return counts, clock if collect_absorption else np.empty(0), diag
 
 
 def first_transition_mc(c: GrunwaldCoeffs, n_samples: int, seed: int,
-                        exc_budget: int = 2048,
                         reentry_cum: Optional[np.ndarray] = None):
     """Hold time and landing cell of the left-fast-forwarded walk.
 
@@ -160,11 +161,11 @@ def first_transition_mc(c: GrunwaldCoeffs, n_samples: int, seed: int,
     n = max(c.j_max, len(reentry_cum) + 1)
     _, holds, levels, diag = _simulate(c, BoundaryPair("N", "N"), n, 1,
                                        n_samples, seed, np.empty(0),
-                                       exc_budget, reentry_cum)
+                                       reentry_cum)
     return holds, levels - 1, diag
 
 
-def _simulate(c, bc, n, i0, n_paths, seed, probes, exc_budget, reentry_cum):
+def _simulate(c, bc, n, i0, n_paths, seed, probes, reentry_cum):
     """Run the engine over blocks of _BLOCK_SIZE paths, one stream pair each.
 
     Returns (counts, clock, level, diag): the probe histograms summed over the
@@ -180,14 +181,14 @@ def _simulate(c, bc, n, i0, n_paths, seed, probes, exc_budget, reentry_cum):
         rng, ladder_rng = _block_rngs(seed, bi)
         block_counts, clock[sl], level[sl], block_diag = _run_block(
             sl.stop - start, rng, ladder_rng, bc, n, i0, probes, disp, cum,
-            c.total_rate, exc_budget, reentry_cum)
+            c.total_rate, reentry_cum)
         counts += block_counts
         diag.merge(block_diag)
     return counts, clock, level, diag
 
 
 def _run_block(size, rng, ladder_rng, bc, n, i0, probes, disp, cum, rate,
-               exc_budget, reentry_cum):
+               reentry_cum):
     """Advance one block in lockstep until every path has stopped.
 
     The stopping rule follows from the inputs: with probe times a path stops
@@ -251,7 +252,7 @@ def _run_block(size, rng, ladder_rng, bc, n, i0, probes, disp, cum, rate,
         # completion draws its re-entry level
         low = pos2 < 1
         if n_reg < live:
-            deep = below & low & (exc_start <= it - exc_budget)
+            deep = below & low & (exc_start <= it - EXC_BUDGET)
             for i in deep.nonzero()[0]:
                 pos2[i] = _ladder_complete(int(pos2[i]), reentry_cum,
                                            ladder_rng)

@@ -444,7 +444,8 @@ def jump_table(c: GrunwaldCoeffs, tail_eps: float):
 
     Displacement -1 carries weight G_0, displacement j-1 >= 1 weight G_j.
     Mass beyond j_max is lumped into the last bucket and must stay below
-    tail_eps.
+    tail_eps.  The cumulative table ends at exactly 1, so every draw u < 1
+    indexes a displacement.
     """
     rate = c.total_rate
     tail_mass = float(c.tail[c.j_max + 1]) / rate
@@ -455,7 +456,9 @@ def jump_table(c: GrunwaldCoeffs, tail_eps: float):
     disp = np.concatenate(([-1], np.arange(1, c.j_max)))
     probs = np.concatenate((c.g[:1], c.g[2:])) / rate
     probs[-1] += max(tail_mass, 0.0)
-    return disp.astype(np.int64), np.cumsum(probs)
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return disp.astype(np.int64), cum
 
 
 def _lattice_params(x0: float, h: float):

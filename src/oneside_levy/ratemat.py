@@ -266,23 +266,20 @@ def stopped_resolvent_profile(exp: LaplaceExponent, c: GrunwaldCoeffs,
     return out
 
 
-def ergodic_limit_z(Q_stopped: RateMatrix, beta_sequence: Sequence[float],
-                    i0_level: int = 0):
+def ergodic_limit_z(Q_stopped: RateMatrix, beta_sequence: Sequence[float]):
     """Vanishing-discount limit of beta * resolvent at the stopping source.
 
     The limit is the exact absorption law of the stopped chain started at
-    i0_level (one solve; 0 on the transient levels index_lo..0).  The betas
+    level 0 (one solve; 0 on the transient levels index_lo..0).  The betas
     serve only for raw, the smallest beta times its resolvent, which is
     O(beta) away from the limit.  Returns (limit, raw).
     """
     if Q_stopped.bc != "stopped-truncated":
         raise ValueError("the absorption law needs a stopped matrix")
-    if not Q_stopped.index_lo <= i0_level <= 0:
-        raise ValueError(f"i0_level={i0_level} is not a transient level")
     beta = min(beta_sequence)
     if beta <= 0.0:
         raise ValueError("betas must be positive")
-    row = Q_stopped.state_index(i0_level)
+    row = Q_stopped.state_index(0)
     return (_absorption_law(Q_stopped, row),
             beta * resolvent_transpose_e(Q_stopped, beta, row))
 

@@ -9,7 +9,10 @@ parameterise resolvent densities and exit laws of the interval-restricted
 processes.  For the stable symbol, W(x) = x^(alpha-1)/Gamma(alpha) and the
 series collapse to Mittag-Leffler functions, which this module uses as the
 primary evaluation route; the iterated-convolution series with
-product-integration quadrature is kept as an independent oracle.
+product-integration quadrature is kept as an independent oracle.  Its
+convolutions are real FFTs from scipy.fft, and it stops once a remainder
+bound falls below SERIES_TOL of the series norm, or raises
+NonConvergenceError after SERIES_MAX_TERMS terms.
 
 Coordinates here are [0, a] for the process with downward jumps and upward
 drift; the bridge to the [-1, 1] grid coordinates (x values mirrored, a = 2)
@@ -23,12 +26,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import NonConvergenceError, RangeExceededError
 
 _ML_RANGE = 100.0
 _ML_MAX_TERMS = 10_000
+SERIES_MAX_TERMS = 200      # most terms of one operator series
+SERIES_TOL = 1e-12          # remainder bound, relative to the series norm
 
 
 def mittag_leffler(gamma: float, beta: float, x):
@@ -89,13 +94,17 @@ def frac_integral_grid(vals: np.ndarray, dx: float, alpha: float,
     j = np.arange(0, n + 2, dtype=float)
     pow1 = j ** (alpha + 1.0)
     c = pow1[2:] + pow1[:-2] - 2.0 * pow1[1:-1]      # c_j, j = 1..n
-    conv = fftconvolve(vals[1:], c)[: n]             # sum_{k>=1} c_{i-k} g_k
+    body = np.zeros(n)                               # sum_{k>=1} c_{i-k} g_k
+    if n > 1:
+        # the fast length of the full linear convolution, as
+        # scipy.signal.fftconvolve picks it, which keeps its bits
+        size = next_fast_len(2 * n - 1, real=True)
+        body[1:] = irfft(rfft(vals[1:], size) * rfft(c, size), size)[: n - 1]
     out = np.empty(n + 1)
     out[0] = 0.0
     i = np.arange(1, n + 1, dtype=float)
     a0 = (i - 1.0) ** (alpha + 1.0) - pow1[1: n + 1] + (alpha + 1.0) * i ** alpha
     head = a0 * vals[0]
-    body = np.concatenate(([0.0], conv))[: n]        # empty for i = 1
     out[1:] = head + body + vals[1:]
     out[1:] *= dx ** alpha / math.gamma(alpha + 2.0)
     if kink is not None:
@@ -179,8 +188,6 @@ class ScaleKit:
     """Evaluators for W, W_q, Z_q and the operator series on one grid."""
 
     grid: ScaleGrid
-    n_ser_max: int = 200
-    series_tol: float = 1e-12
     last_error_estimate: float = field(default=0.0, init=False)
     last_n_terms: int = field(default=0, init=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
@@ -226,7 +233,7 @@ class ScaleKit:
 
         Each convolution power is one fractional integration of the previous
         term.  Truncates when the absolute-convergence remainder bound
-        ||g|| (q W(a))^n a^(n-1) / (n-1)! falls below series_tol * ||g||.
+        ||g|| (q W(a))^n a^(n-1) / (n-1)! falls below SERIES_TOL * ||g||.
 
         g_kink = p declares that g behaves like y^p * smooth at 0, letting the
         first integration use the exact-power cell fix; later iterands gain
@@ -269,21 +276,22 @@ class ScaleKit:
         Term n is q times the fractional integral of term n - 1 (given as
         term), the first one with the exact-power cell fix for kink.  Stops
         when the absolute-convergence remainder bound
-        norm (q W(a))^n a^(n-1) / (n-1)! falls below series_tol * norm.
+        norm (q W(a))^n a^(n-1) / (n-1)! falls below SERIES_TOL * norm;
+        NonConvergenceError after SERIES_MAX_TERMS terms.
         """
         g = self.grid
         wa = g.q * self.W(g.a)
-        for n in range(start, self.n_ser_max + 1):
+        for n in range(start, SERIES_MAX_TERMS + 1):
             term = g.q * frac_integral_grid(term, g.dx, g.alpha, kink=kink)
             kink = None
             acc += term
             bound = norm * wa ** n * g.a ** (n - 1) / math.gamma(n)
-            if bound < self.series_tol * norm:
+            if bound < SERIES_TOL * norm:
                 self.last_error_estimate = bound
                 self.last_n_terms = n
                 return acc
         raise NonConvergenceError(
-            f"operator series not below tolerance within {self.n_ser_max} terms")
+            f"operator series not below tolerance within {SERIES_MAX_TERMS} terms")
 
     def Zq_series(self) -> np.ndarray:
         """Z_q = Z_q[1] on the grid through the series (oracle route)."""

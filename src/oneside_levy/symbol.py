@@ -7,7 +7,9 @@ A symbol here is the function
 for a jump measure rho with finite (y^2 and y)-moment and infinite small-jump
 first moment, which makes the process recurrent, of unbounded variation and
 free of a diffusion part.  Built-in families (stable, tempered stable) use
-closed forms; arbitrary measures are integrated adaptively.  The module also
+closed forms; arbitrary measures are integrated adaptively to a fixed
+relative tolerance of 1e-10, and a QuadratureError reports quadrature or a
+tail truncation that falls short of it.  The module also
 evaluates the mesh-h discrete symbol
 
     varphi(beta) = exp(h*beta) * psi((1 - exp(-h*beta)) / h)
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,8 +31,11 @@ from scipy import integrate, optimize
 from .errors import BracketError, InvalidMeasureError, QuadratureError
 
 _QUAD_REL_TOL = 1e-10
+_TAIL_CUT_START = 64.0      # first truncation point tried for a custom tail
 _PSI0_PROBE = 1e-8
 _PSI0_RTOL = 1e-4
+_INVERSE_RTOL = 1e-12       # varphi_inverse residual, relative to max(1, y)
+_MAX_DOUBLINGS = 120        # bracket doublings of varphi_inverse
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,9 @@ class LevyMeasureSpec:
     kind "tempered_stable": rho(dy) = exp(-lam*y) y^(-1-alpha) / Gamma(-alpha) dy
     kind "custom":          caller supplies density, tail y -> rho((y, inf))
                             and integrated tail Phi(x) = int_x^inf tail(y) dy
+
+    lam belongs to the tempered kind only; a nonzero lam on another kind is
+    an error rather than silently ignored.
 
     For the built-in kinds the moment conditions hold by construction; for
     custom measures they are the caller's responsibility (they cannot be
@@ -55,12 +63,16 @@ class LevyMeasureSpec:
     integrated_tail: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
+        if self.lam != 0.0 and self.kind != "tempered_stable":
+            raise InvalidMeasureError(
+                f"lam={self.lam} needs kind 'tempered_stable', not {self.kind!r}")
         if self.kind in ("stable", "tempered_stable"):
             if not (1.0 < self.alpha < 2.0):
                 raise InvalidMeasureError(
                     f"alpha must lie in (1, 2), got {self.alpha}")
-            if self.kind == "tempered_stable" and self.lam < 0.0:
-                raise InvalidMeasureError(f"lam must be >= 0, got {self.lam}")
+            if self.kind == "tempered_stable" and not 0.0 <= self.lam < math.inf:
+                raise InvalidMeasureError(
+                    f"lam must be finite and >= 0, got {self.lam}")
         elif self.kind == "custom":
             if self.density is None or self.tail is None or self.integrated_tail is None:
                 raise InvalidMeasureError(
@@ -86,29 +98,25 @@ class LevyMeasureSpec:
 class LaplaceExponent:
     """Evaluator for psi, psi' and the discrete symbol varphi.
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction; safe to share across workers.  Construction
+    checks that psi vanishes at the origin and not at 1.
     """
 
     measure: LevyMeasureSpec
-    quad_rel_tol: float = _QUAD_REL_TOL
-    tail_cut_start: float = 64.0
-    check_origin: bool = True
-    _max_doublings: int = field(default=120, repr=False)
 
     def __post_init__(self):
-        if self.check_origin:
-            scale = abs(self.psi(1.0))
-            if scale == 0.0:
-                raise InvalidMeasureError("psi(1) = 0, degenerate measure")
-            if abs(self.psi(_PSI0_PROBE)) > _PSI0_RTOL * scale:
-                raise InvalidMeasureError("psi does not vanish at 0")
-            if self.measure.kind == "custom":
-                # Guards gross mis-specification (an uncompensated drift term
-                # shows up as psi'(0+) = O(1)).  The limit psi'(0+) = 0 is
-                # approached only like xi^(alpha-1), so the probe uses a loose
-                # multiple of psi(1); built-in kinds satisfy it analytically.
-                if abs(self.psi_prime(_PSI0_PROBE)) > 1e-2 * scale:
-                    raise InvalidMeasureError("psi' does not vanish at 0+")
+        scale = abs(self.psi(1.0))
+        if scale == 0.0:
+            raise InvalidMeasureError("psi(1) = 0, degenerate measure")
+        if abs(self.psi(_PSI0_PROBE)) > _PSI0_RTOL * scale:
+            raise InvalidMeasureError("psi does not vanish at 0")
+        if self.measure.kind == "custom":
+            # Guards gross mis-specification (an uncompensated drift term
+            # shows up as psi'(0+) = O(1)).  The limit psi'(0+) = 0 is
+            # approached only like xi^(alpha-1), so the probe uses a loose
+            # multiple of psi(1); built-in kinds satisfy it analytically.
+            if abs(self.psi_prime(_PSI0_PROBE)) > 1e-2 * scale:
+                raise InvalidMeasureError("psi' does not vanish at 0+")
 
     # -- psi and psi' ------------------------------------------------------
 
@@ -124,30 +132,26 @@ class LaplaceExponent:
             if xi == 0.0:
                 return 0.0
         m = self.measure
-        if m.kind == "stable":
-            return xi ** m.alpha
-        if m.kind == "tempered_stable":
-            a, lam = m.alpha, m.lam
-            if lam == 0.0:
-                return xi ** a
-            p, d = self._tempered_factors(xi)
-            return (xi + lam) * p * d - (a - 1.0) * xi * lam ** (a - 1.0)
-        return self._psi_quad(xi)
+        if m.kind == "custom":
+            return self._psi_quad(xi)
+        a, lam = m.alpha, m.lam
+        if lam == 0.0:
+            return xi ** a
+        p, d = self._tempered_factors(xi)
+        return (xi + lam) * p * d - (a - 1.0) * xi * lam ** (a - 1.0)
 
     def psi_prime(self, xi: float) -> float:
         """psi'(xi) = integral of y (1 - exp(-xi*y)) rho(dy), xi > 0."""
         if xi <= 0.0:
             raise ValueError(f"xi must be > 0, got {xi}")
         m = self.measure
-        if m.kind == "stable":
-            return m.alpha * xi ** (m.alpha - 1.0)
-        if m.kind == "tempered_stable":
-            a, lam = m.alpha, m.lam
-            if lam == 0.0:
-                return a * xi ** (a - 1.0)
-            p, d = self._tempered_factors(xi)
-            return a * p * d
-        return self._psi_prime_quad(xi)
+        if m.kind == "custom":
+            return self._psi_prime_quad(xi)
+        a = m.alpha
+        if m.lam == 0.0:
+            return a * xi ** (a - 1.0)
+        p, d = self._tempered_factors(xi)
+        return a * p * d
 
     def _tempered_factors(self, xi: float | complex):
         """P = (xi+lam)^(a-1) and D = 1 - (1 + xi/lam)^(1-a) of a tempered symbol.
@@ -169,24 +173,6 @@ class LaplaceExponent:
         y = -(a - 1.0) * log_ratio
         d = -complex(np.expm1(y)) if cx else -math.expm1(y)
         return (xi + lam) ** (a - 1.0), d
-
-    def psi_via_integrated_tail(self, xi: float) -> float:
-        """Alternative representation psi(xi) = xi^2 * int_0^inf e^(-xi x) Phi(x) dx.
-
-        Only available for custom measures (the built-in kinds do not carry an
-        explicit Phi); used as a cross-check of the quadrature route.
-        """
-        m = self.measure
-        if m.kind != "custom":
-            raise InvalidMeasureError("integrated-tail route needs a custom measure")
-        if xi == 0.0:
-            return 0.0
-        cut = self._tail_cutoff(xi)
-        val, err = integrate.quad(lambda x: math.exp(-xi * x) * m.integrated_tail(x),
-                                  0.0, cut, epsabs=0.0, epsrel=self.quad_rel_tol,
-                                  limit=400)
-        self._quad_guard(val, err)
-        return xi * xi * val
 
     def _psi_quad(self, xi: float | complex) -> float | complex:
         m = self.measure
@@ -230,10 +216,10 @@ class LaplaceExponent:
             return f(y) * 4.0 * t ** 3
 
         v1, e1 = integrate.quad(near, 0.0, 1.0, epsabs=0.0,
-                                epsrel=self.quad_rel_tol, limit=400)
+                                epsrel=_QUAD_REL_TOL, limit=400)
         cut = self._tail_cutoff(xi)
         v2, e2 = integrate.quad(f, 1.0, cut, epsabs=abs(v1) * 1e-14,
-                                epsrel=self.quad_rel_tol, limit=400)
+                                epsrel=_QUAD_REL_TOL, limit=400)
         self._quad_guard(v1 + v2, e1 + e2)
         return v1 + v2
 
@@ -241,7 +227,7 @@ class LaplaceExponent:
         # Remainder of the compensated integrand beyond Y is at most
         # xi * (Y*tail(Y) + Phi(Y)); double Y until that is negligible.
         m = self.measure
-        y = self.tail_cut_start
+        y = _TAIL_CUT_START
         for _ in range(80):
             bound = max(xi, 1.0) * (y * m.tail(y) + m.integrated_tail(y))
             if bound < 1e-16:
@@ -252,7 +238,7 @@ class LaplaceExponent:
     def _quad_guard(self, value: float, err: float) -> None:
         if not math.isfinite(value):
             raise QuadratureError("quadrature returned a non-finite value")
-        if err > self.quad_rel_tol * max(abs(value), 1e-300) and err > 1e-14:
+        if err > _QUAD_REL_TOL * max(abs(value), 1e-300) and err > 1e-14:
             raise QuadratureError(
                 f"quadrature error {err:g} exceeds tolerance for value {value:g}")
 
@@ -278,12 +264,12 @@ class LaplaceExponent:
         s = -math.expm1(-hb) / h
         return h * math.exp(hb) * self.psi(s) + self.psi_prime(max(s, 1e-300))
 
-    def varphi_inverse(self, h: float, y: float, rel_tol: float = 1e-12) -> float:
+    def varphi_inverse(self, h: float, y: float) -> float:
         """Solve varphi(h, beta) = y for beta >= 0.
 
         varphi is strictly increasing with varphi(0) = 0, so a doubling
         bracket always terminates for representable y.  The bisection root is
-        polished with Newton steps to |varphi(b) - y| <= rel_tol * max(1, y).
+        polished with Newton steps to |varphi(b) - y| <= 1e-12 * max(1, y).
         """
         if y < 0.0:
             raise ValueError(f"y must be >= 0, got {y}")
@@ -292,7 +278,7 @@ class LaplaceExponent:
         if y == 0.0:
             return 0.0
         hi = 1.0
-        for _ in range(self._max_doublings):
+        for _ in range(_MAX_DOUBLINGS):
             if self.varphi(h, hi) >= y:
                 break
             hi *= 2.0
@@ -300,7 +286,7 @@ class LaplaceExponent:
             raise BracketError(f"no upper bracket for varphi inverse at y={y:g}")
         b = optimize.brentq(lambda t: self.varphi(h, t) - y, 0.0, hi,
                             xtol=1e-300, rtol=8.9e-16, maxiter=300)
-        tol = rel_tol * max(1.0, abs(y))
+        tol = _INVERSE_RTOL * max(1.0, abs(y))
         for _ in range(8):
             f = self.varphi(h, b) - y
             if abs(f) <= tol:

@@ -112,7 +112,6 @@ def test_criterion_04_landing_law_mc(exp):
     reentry = reentry_table(c, m_below=3000, j_cap=1024, mode="greens")
     n_samp = 100_000
     holds, lands, diag = first_transition_mc(c, n_samp, seed=2024,
-                                             exc_budget=2048,
                                              reentry_cum=reentry)
     g0 = c.g[0]
     rel_hold = abs(holds.mean() * g0 - 1.0)

@@ -39,15 +39,13 @@ def test_first_moment_identity(coeffs_h1, binom_oracle):
 
 
 def test_tail_values(coeffs_h1, binom_oracle):
-    assert coeffs_h1.tail_sum(0) == 0.0
-    assert coeffs_h1.tail_sum(2) == pytest.approx(0.5, rel=1e-14)
+    assert coeffs_h1.tail[0] == 0.0
+    assert coeffs_h1.tail[2] == pytest.approx(0.5, rel=1e-14)
     # partial-sum identity T_j = (-1)^j binom(alpha-1, j-1), checked against
     # direct summation of the weights
     for j in (1, 2, 5, 17, 40):
         expected = (-1.0) ** j * binom_oracle(0.5, j - 1)
-        assert coeffs_h1.tail_sum(j) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(IndexError):
-        coeffs_h1.tail_sum(coeffs_h1.j_max + 2)
+        assert coeffs_h1.tail[j] == pytest.approx(expected, rel=1e-12)
 
 
 def test_tail_nonnegative_from_two(coeffs_h1):

@@ -26,6 +26,15 @@ def reentry(coeffs):
     return reentry_table(coeffs, m_below=2000, j_cap=1024)
 
 
+@pytest.mark.parametrize("mode", ["greens", "tails"])
+def test_reentry_table_ends_at_one(coeffs, reentry, mode):
+    # the greens sum ends at 0.9999999999999988 before its last entry is set
+    cum = reentry if mode == "greens" else reentry_table(coeffs, mode="tails")
+    assert cum[-1] == 1.0
+    u = np.nextafter(1.0, 0.0)
+    assert cum.searchsorted(u, side="right") == len(cum) - 1
+
+
 def test_reentry_table_matches_closed_form(coeffs):
     cum = reentry_table(coeffs, m_below=1500, j_cap=256)
     z = np.diff(np.concatenate(([0.0], cum)))

@@ -445,6 +445,16 @@ def test_jump_table_tail_lumping(stable_exp, coeffs_n9):
         jump_table(shallow, 1e-6)
 
 
+@pytest.mark.parametrize("h, j_max", [(0.025, 16384), (0.2, 8192)])
+def test_jump_table_ends_at_one(stable_exp, h, j_max):
+    # the cumulative sum ends below 1 by rounding at both meshes; the largest
+    # draw u < 1 must still index a displacement, the last one
+    disp, cum = jump_table(compute_coeffs(stable_exp, h, j_max), 1e-5)
+    assert cum[-1] == 1.0 and cum[-2] < 1.0 and np.all(np.diff(cum) >= 0.0)
+    u = np.nextafter(1.0, 0.0)
+    assert disp[cum.searchsorted(u, side="right")] == disp[-1]
+
+
 # -- landing/holding empirics at the boundaries ---------------------------------
 
 def test_reflected_first_move_rates(coeffs_n9):

@@ -200,10 +200,6 @@ def test_discounted_resolvent_approaches_the_limit(stable_exp):
 def test_ergodic_limit_rejects_bad_input(stable_exp, coeffs_h1):
     Q = build_stopped(coeffs_h1, 12, 12)
     with pytest.raises(ValueError):
-        ergodic_limit_z(Q, [1e-3], i0_level=1)
-    with pytest.raises(ValueError):
-        ergodic_limit_z(Q, [1e-3], i0_level=-13)
-    with pytest.raises(ValueError):
         ergodic_limit_z(Q, [0.0])
     restricted = build_restricted(coeffs_for_n(stable_exp, 9), 9,
                                   BoundaryPair.from_label("DD"))

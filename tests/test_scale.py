@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oneside_levy import scale
 from oneside_levy.errors import NonConvergenceError, RangeExceededError
 from oneside_levy.scale import (ScaleGrid, ScaleKit, cumulative_integral,
                                 frac_integral_grid, gaver_stehfest_W,
@@ -111,6 +112,37 @@ def test_frac_integral_polynomial_exactness():
     assert np.max(np.abs(out - x ** (ALPHA + 1) / math.gamma(ALPHA + 2.0))) < 1e-13
 
 
+def _frac_integral_fftconvolve(vals, dx, alpha):
+    """The product-trapezoidal rule with scipy.signal.fftconvolve (oracle)."""
+    from scipy.signal import fftconvolve
+
+    n = len(vals) - 1
+    pow1 = np.arange(0, n + 2, dtype=float) ** (alpha + 1.0)
+    c = pow1[2:] + pow1[:-2] - 2.0 * pow1[1:-1]
+    conv = fftconvolve(vals[1:], c)[: n]
+    i = np.arange(1, n + 1, dtype=float)
+    a0 = (i - 1.0) ** (alpha + 1.0) - pow1[1: n + 1] + (alpha + 1.0) * i ** alpha
+    body = np.concatenate(([0.0], conv))[: n]
+    out = np.zeros(n + 1)
+    out[1:] = a0 * vals[0] + body + vals[1:]
+    out[1:] *= dx ** alpha / math.gamma(alpha + 2.0)
+    return out
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 2001, 16001])
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_frac_integral_matches_fftconvolve_bits(length, alpha, rng):
+    vals = rng.uniform(0.0, 2.0, size=length)
+    dx = 1.0 / max(length - 1, 1)
+    expected = _frac_integral_fftconvolve(vals, dx, alpha)
+    assert np.array_equal(frac_integral_grid(vals, dx, alpha), expected)
+    if length > 1:
+        p = alpha - 1.0
+        expected[1:] += scale._first_cell_power_fix(vals, dx, alpha, p)
+        assert np.array_equal(frac_integral_grid(vals, dx, alpha, kink=p),
+                              expected)
+
+
 def test_frac_integral_kink_fix():
     m = 2048
     x = np.linspace(0.0, 1.0, m + 1)
@@ -191,8 +223,9 @@ def test_Zq_derivative_matches_qWq(kit):
     assert errs[1] < errs[0] / 3.0
 
 
-def test_series_nonconvergence_guard():
-    kit = ScaleKit(ScaleGrid(a=1.0, m=64, alpha=ALPHA, q=1.0), n_ser_max=2)
+def test_series_nonconvergence_guard(monkeypatch):
+    kit = ScaleKit(ScaleGrid(a=1.0, m=64, alpha=ALPHA, q=1.0))
+    monkeypatch.setattr(scale, "SERIES_MAX_TERMS", 2)
     with pytest.raises(NonConvergenceError):
         kit.Zq_apply(np.ones(65))
 

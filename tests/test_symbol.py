@@ -11,20 +11,47 @@ ALPHA = 1.5
 
 
 def tempered_custom(alpha=1.5, lam=2.0):
-    """Tempered measure packaged as a custom spec (tail parts by quadrature)."""
-    from scipy.special import gamma
+    """Tempered measure packaged as a custom spec.
 
-    dens = lambda y: math.exp(-lam * y) * y ** (-1.0 - alpha) / gamma(-alpha)
+    With G(a, x) the upper incomplete gamma function, the tail is
+    lam^alpha G(-alpha, lam y) / Gamma(-alpha) and its integral
+    Phi(x) = lam^(alpha-1) (G(1-alpha, u) - u G(-alpha, u)) / Gamma(-alpha),
+    u = lam x.  G(1-alpha, .) and G(-alpha, .) come down from
+    G(2-alpha, .) by G(a, u) = (G(a+1, u) - u^a e^-u) / a.
+    """
+    from scipy.special import gamma, gammaincc
+
+    g_alpha = gamma(-alpha)
+    dens = lambda y: math.exp(-lam * y) * y ** (-1.0 - alpha) / g_alpha
+
+    def upper_gammas(u):
+        g2 = gammaincc(2.0 - alpha, u) * gamma(2.0 - alpha)
+        g1 = (g2 - u ** (1.0 - alpha) * math.exp(-u)) / (1.0 - alpha)
+        return g1, (g1 - u ** -alpha * math.exp(-u)) / -alpha
 
     def tail(y):
-        val, _ = integrate.quad(dens, y, np.inf, epsabs=1e-14, epsrel=1e-12)
-        return val
+        return lam ** alpha * upper_gammas(lam * y)[1] / g_alpha
 
     def integrated_tail(x):
-        val, _ = integrate.quad(tail, x, np.inf, epsabs=1e-14, epsrel=1e-10)
-        return val
+        u = lam * x
+        g1, g0 = upper_gammas(u)
+        return lam ** (alpha - 1.0) * (g1 - u * g0) / g_alpha
 
     return LevyMeasureSpec.custom(dens, tail, integrated_tail)
+
+
+def test_tempered_custom_tail_pieces():
+    # the closed-form tail and integrated tail against quadrature of the
+    # density, where the values are well above the absolute tolerance
+    alpha, lam = 1.3, 0.7
+    spec = tempered_custom(alpha, lam)
+    for y in (1e-3, 0.1, 1.0, 5.0):
+        tail, _ = integrate.quad(spec.density, y, np.inf, epsabs=0.0,
+                                 epsrel=1e-12)
+        assert spec.tail(y) == pytest.approx(tail, rel=1e-10)
+        phi, _ = integrate.quad(spec.tail, y, np.inf, epsabs=0.0,
+                                epsrel=1e-10, limit=200)
+        assert spec.integrated_tail(y) == pytest.approx(phi, rel=1e-8)
 
 
 def test_stable_psi_values(stable_exp):
@@ -53,8 +80,9 @@ def test_alpha_range_validation():
         LevyMeasureSpec.stable(2.5)
     with pytest.raises(InvalidMeasureError):
         LevyMeasureSpec.stable(1.0)
-    with pytest.raises(InvalidMeasureError):
-        LevyMeasureSpec.tempered_stable(1.5, -1.0)
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidMeasureError):
+            LevyMeasureSpec.tempered_stable(1.5, lam)
 
 
 def test_tempered_closed_form_matches_quadrature():
@@ -85,12 +113,38 @@ def test_tempered_closed_form_high_precision(alpha, lam):
             assert texp.psi_prime(xi) == pytest.approx(float(dpsi), rel=1e-14)
 
 
+def psi_via_integrated_tail(spec, xi):
+    """psi(xi) = xi^2 int_0^inf e^(-xi x) Phi(x) dx, by quadrature over (0, 64).
+
+    An oracle for the compensated-integrand route of LaplaceExponent.psi: it
+    reads only the integrated tail Phi of a custom spec.  The cut at 64
+    suits tails that decay like exp(-2 y), where Phi(64) is below 1e-55.
+    """
+    val, err = integrate.quad(
+        lambda x: math.exp(-xi * x) * spec.integrated_tail(x), 0.0, 64.0,
+        epsabs=0.0, epsrel=1e-10, limit=400)
+    assert err <= 1e-10 * abs(val)
+    return xi * xi * val
+
+
 def test_custom_integrated_tail_representation():
     # psi(xi) = xi^2 int e^(-xi x) Phi(x) dx, the equivalent compensated form
-    cexp = LaplaceExponent(tempered_custom())
+    spec = tempered_custom()
+    cexp = LaplaceExponent(spec)
     for xi in (0.5, 2.0):
-        assert cexp.psi_via_integrated_tail(xi) == pytest.approx(
+        assert psi_via_integrated_tail(spec, xi) == pytest.approx(
             cexp.psi(xi), rel=1e-7)
+
+
+@pytest.mark.parametrize("kind", ["stable", "custom"])
+def test_lam_needs_tempered_kind(kind):
+    # lam has no meaning for these kinds, so it must not be dropped silently
+    pieces = dict(density=lambda y: y, tail=lambda y: y,
+                  integrated_tail=lambda y: y)
+    extra = dict(alpha=1.5) if kind == "stable" else pieces
+    with pytest.raises(InvalidMeasureError, match="tempered_stable"):
+        LevyMeasureSpec(kind=kind, lam=2.0, **extra)
+    LevyMeasureSpec(kind=kind, lam=0.0, **extra)
 
 
 def test_varphi_values_and_monotonicity(stable_exp):
