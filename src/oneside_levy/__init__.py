@@ -4,7 +4,8 @@ interval."""
 
 from .errors import (BarrierError, BracketError, EmptyRegionError,
                      GridMismatchError, InvalidMeasureError,
-                     NonConvergenceError, NonUniqueError, OnesideLevyError,
+                     NonConvergenceError, NonUniqueError,
+                     NotHessenbergError, OnesideLevyError,
                      OverflowGuardError, QuadratureError, RangeExceededError,
                      SingularSystemError, TailBoundError,
                      TailEpsUnreachableError)

@@ -33,6 +33,11 @@ class SingularSystemError(OnesideLevyError):
     """A linear solve failed or produced a non-finite solution."""
 
 
+class NotHessenbergError(OnesideLevyError):
+    """A matrix handed to the Hessenberg factorisation has a nonzero entry
+    below its first subdiagonal."""
+
+
 class NonUniqueError(OnesideLevyError):
     """A stationary-vector solve found a reducible interior chain."""
 

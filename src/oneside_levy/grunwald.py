@@ -7,9 +7,11 @@ power-series expansion
 
 G_0 > 0 is the downward (drift) step rate, G_1 < 0 the total holding rate and
 G_j >= 0 (j >= 2) the rate of an upward jump of j-1 grid cells.  Tail sums
-T_j = sum_{k>=j} G_k double as boundary-row weights; they are computed exactly
-as negated partial sums, which is the same thing whenever the full series sums
-to zero.
+T_j = sum_{k>=j} G_k double as boundary-row weights.  For stable symbols they
+come from the exact ratio recurrence T_1 = -G_0, T_{j+1} = T_j (j - alpha)/j,
+which keeps full relative accuracy as alpha -> 1+ (T_2 = (alpha-1) h^-alpha);
+for other symbols they are negated partial sums, which is the same thing
+whenever the full series sums to zero.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ _SIGN_SLACK = 1e-12
 class GrunwaldCoeffs:
     """Weights G_0..G_{j_max} with exact tail sums T_0..T_{j_max+1}.
 
-    tail[j] = T_j = -sum_{k<j} G_k (= sum_{k>=j} G_k when the series sums
-    to 0).
+    tail[j] = T_j = sum_{k>=j} G_k = -sum_{k<j} G_k (the series sums to 0);
+    T_0 = 0.
     """
 
     h: float
@@ -71,8 +73,25 @@ def compute_coeffs(exp: LaplaceExponent, h: float, j_max: int) -> GrunwaldCoeffs
         g = _moment_weights(exp, h, j_max)
     else:
         g = _binomial_weights(m.alpha, m.lam, h, j_max, exp)
-    tail = np.concatenate(([0.0], -np.cumsum(g)))
+    if m.lam == 0.0 and m.kind != "custom":
+        tail = _stable_tails(m.alpha, g[0], j_max)
+    else:
+        tail = np.concatenate(([0.0], -np.cumsum(g)))
     return GrunwaldCoeffs(h=h, g=g, tail=tail, j_max=j_max)
+
+
+def _stable_tails(alpha: float, g0: float, j_max: int) -> np.ndarray:
+    """T_0..T_{j_max+1} of a stable symbol: T_0 = 0, T_1 = -G_0 and
+    T_{j+1} = T_j (j - alpha)/j, i.e. T_j = (-1)^j binom(alpha-1, j-1)
+    h^-alpha.  Partial sums would form T_2 = (alpha-1) h^-alpha from two O(1)
+    weights and lose relative accuracy like eps/(alpha-1)."""
+    tail = np.empty(j_max + 2)
+    tail[0] = 0.0
+    t = -g0
+    for j in range(1, j_max + 2):
+        tail[j] = t
+        t *= (j - alpha) / j
+    return tail
 
 
 def _binomial_weights(alpha: float, lam: float, h: float, j_max: int,

@@ -14,11 +14,14 @@ half-line matrix of the chain stopped on its first visit to the upper lattice,
 resolvent solves against its transpose, its exact absorption law (the
 vanishing-discount limit of beta times those resolvents, and the walk's
 first-entry law), matrix semigroups, stationary vectors and mean absorption
-times.  Every linear system is built in Fortran order and factored in place;
-a zero pivot or a non-finite solution raises a named error.
+times.  The grid chain moves down by at most one cell, so every system here
+is upper Hessenberg: one O(n^2) Gaussian elimination, which pivots between
+adjacent rows, factors it in place, and a transpose is solved through
+trans=1 on the same factor.  An entry below the subdiagonal, a zero pivot or
+a non-finite solution raises a named error.
 
 A semigroup row e_{i0} exp(tQ) comes from shift-and-invert Arnoldi on
-(I - gamma Q^T)^{-1}, gamma proportional to t, started from e_{i0}.  One LU
+(I - gamma Q^T)^{-1}, gamma proportional to t, started from e_{i0}.  One
 factorisation of I - gamma Q serves every step, and a few dozen steps reach
 the rounding floor even at n = 999.  An a posteriori error estimate stops
 the iteration; the row is then clipped to be nonnegative and divided by its
@@ -28,15 +31,16 @@ sum, and a correction larger than the estimate raises NonConvergenceError.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import daxpy
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import (GridMismatchError, NonConvergenceError, NonUniqueError,
-                     SingularSystemError)
+                     NotHessenbergError, SingularSystemError)
 from .grunwald import GrunwaldCoeffs
 from .symbol import LaplaceExponent
 
@@ -188,20 +192,53 @@ def build_stopped(c: GrunwaldCoeffs, m_below: int, k_above: int) -> RateMatrix:
 
 def _factor(A: np.ndarray, scale: float = 1.0, shift: float = 0.0,
             error: type = SingularSystemError):
-    """Factor scale*A + shift*I, built in Fortran order and overwritten by
-    LAPACK (pass a transposed view for a transpose); return solve(rhs,
-    trans=0).  A zero pivot or a non-finite solution raises error."""
-    M = np.multiply(A, scale, order="F")
-    M.flat[:: M.shape[0] + 1] += shift
-    with warnings.catch_warnings():
-        # a zero pivot is raised below as the caller's error
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
-    if not np.all(np.diagonal(lu[0])):
-        raise error(f"singular {M.shape[0]}-state system (zero pivot)")
+    """Factor M = scale*A + shift*I for an upper Hessenberg A in O(n^2);
+    return solve(rhs, trans=0), which solves M x = rhs (M^T x = rhs for
+    trans=1).
+
+    Gaussian elimination with partial pivoting: at step k only rows k and
+    k+1 hold column k, so the pivot compares two entries, a swap exchanges
+    two adjacent rows and one row update (a BLAS axpy) clears the column.
+    P M = L U overwrites a C-ordered copy of M (unit L below the diagonal),
+    and the swaps are composed into one permutation, so a solve is one
+    gather and two LAPACK triangular solves on the factor in place.  A
+    nonzero entry below the first subdiagonal raises NotHessenbergError; a
+    zero pivot or a non-finite solution raises error."""
+    M = np.multiply(A, scale, order="C")
+    n = M.shape[0]
+    M.flat[:: n + 1] += shift
+    perm = list(range(n))
+    for k in range(n - 1):
+        top, low = M[k], M[k + 1]
+        if np.count_nonzero(low[:k]):
+            raise NotHessenbergError(
+                f"row {k + 1} of a {n}-state system has an entry below its "
+                f"subdiagonal")
+        pivot, below = top.item(k), low.item(k)
+        if abs(below) > abs(pivot):
+            M[[k, k + 1]] = M[[k + 1, k]]
+            perm[k], perm[k + 1] = perm[k + 1], perm[k]
+            pivot, below = below, pivot
+        if pivot == 0.0:
+            raise error(f"singular {n}-state system (zero pivot)")
+        low[k] = mult = below / pivot
+        # low[k+1:] -= mult * top[k+1:]
+        daxpy(top, low, n - k - 1, -mult, k + 1, 1, k + 1, 1)
+    if M.item(n - 1, n - 1) == 0.0:
+        raise error(f"singular {n}-state system (zero pivot)")
+    perm = np.array(perm)
+    F = M.T                                  # Fortran view, for LAPACK
 
     def solve(rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-        x = scipy.linalg.lu_solve(lu, rhs, trans=trans, check_finite=False)
+        # F's lower triangle is U^T, its strict upper triangle L^T
+        if trans:
+            z = dtrtrs(F, rhs, lower=1, trans=0)[0]                # U^T z = b
+            x = np.empty_like(z)
+            x[perm] = dtrtrs(F, z, lower=0, trans=0, unitdiag=1,
+                             overwrite_b=1)[0]                     # L^T Px = z
+        else:
+            y = dtrtrs(F, rhs[perm], lower=0, trans=1, unitdiag=1)[0]  # L y = Pb
+            x = dtrtrs(F, y, lower=1, trans=1, overwrite_b=1)[0]        # U x = y
         if not np.all(np.isfinite(x)):
             raise error("linear solve produced non-finite entries")
         return x
@@ -218,7 +255,7 @@ def resolvent_transpose_e(Q: RateMatrix, beta: float, i0: int) -> np.ndarray:
         raise IndexError(f"i0={i0} outside 0..{size - 1}")
     rhs = np.zeros(size)
     rhs[i0] = 1.0
-    return _factor(Q.Q.T, -1.0, beta)(rhs)
+    return _factor(Q.Q, -1.0, beta)(rhs, trans=1)
 
 
 def _absorption_law(Q: RateMatrix, row: int) -> np.ndarray:
@@ -229,7 +266,7 @@ def _absorption_law(Q: RateMatrix, row: int) -> np.ndarray:
     t = Q.state_index(0) + 1
     e = np.zeros(t)
     e[row] = 1.0
-    w = _factor(Q.Q[:t, :t].T, -1.0)(e)
+    w = _factor(Q.Q[:t, :t], -1.0)(e, trans=1)
     law = np.zeros(Q.size)
     law[t:] = w @ Q.Q[:t, t:]
     return law
@@ -370,15 +407,25 @@ def semigroup_row_diag(Q: RateMatrix, t: float, i0: int):
         Hm = H[:m, :m]
         D = Hm.copy()
         D.flat[:: m + 1] -= 1.0              # H_m - I
-        u = scipy.linalg.expm(SHIFT_RATIO * _factor(Hm)(D))[:, 0]
-        prev, row = row, u @ V[:m]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # far past the slowest decay a Ritz value of Z can fall off its
+            # spectrum and overflow the small exponential: such an iterate
+            # is never accepted
+            u = scipy.linalg.expm(SHIFT_RATIO * _factor(Hm)(D))[:, 0]
+            new = u @ V[:m]
+            if row is not None:
+                change = float(np.sum(np.abs(new - row)))
+        if not np.all(np.isfinite(new)):
+            if breakdown:
+                raise NonConvergenceError(
+                    f"semigroup row t={t:g}: non-finite Krylov row at m={m}")
+            continue
+        row = new
         if breakdown:
             change = 0.0
             break
-        if prev is not None:
-            change = float(np.sum(np.abs(row - prev)))
-            if change <= floor:
-                break
+        if change <= floor:
+            break
     else:
         raise NonConvergenceError(
             f"semigroup row t={t:g}: Krylov change {change:.2e} above "
@@ -405,11 +452,11 @@ def stationary_interior(Q: RateMatrix) -> np.ndarray:
     if not (isinstance(Q.bc, BoundaryPair) and Q.bc.label == "NN"):
         raise ValueError("stationary vector is defined for the NN pair only")
     n = Q.n
-    A = Q.Q[1: n + 1, 1: n + 1].T.copy()
-    A[-1, :] = 1.0                           # sum(pi) = 1 replaces one equation
+    A = Q.Q[1: n + 1, 1: n + 1].copy()
+    A[:, -1] = 1.0                           # sum(pi) = 1 replaces one equation
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    pi = _factor(A, error=NonUniqueError)(rhs)
+    pi = _factor(A, error=NonUniqueError)(rhs, trans=1)
     if np.any(pi < -1e-10):
         raise NonUniqueError("interior chain looks reducible")
     return pi / pi.sum()

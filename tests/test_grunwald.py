@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -46,6 +47,25 @@ def test_tail_values(coeffs_h1, binom_oracle):
     for j in (1, 2, 5, 17, 40):
         expected = (-1.0) ** j * binom_oracle(0.5, j - 1)
         assert coeffs_h1.tail[j] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0 + 2.0 ** -52, 1.0 + 1e-13, 1.001, 1.5,
+                                   1.999])
+def test_stable_tails_match_mpmath_oracle(alpha):
+    # T_j = (-1)^j binom(alpha-1, j-1) h^-alpha, at 40 digits for the same
+    # binary alpha and h.  Near alpha = 1 the tails T_j, j >= 2, are
+    # O(alpha-1) while G_0 and G_1 are O(1), so partial sums of the weights
+    # would lose their relative accuracy there.
+    h = 0.2
+    c = compute_coeffs(LaplaceExponent(LevyMeasureSpec.stable(alpha)), h, 64)
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        scale = mp.mpf(h) ** -a
+        for j in range(1, 51):
+            exact = (-1) ** j * mp.binomial(a - 1, j - 1) * scale
+            rel = abs((mp.mpf(float(c.tail[j])) - exact) / exact)
+            assert rel <= 1e-13, (j, float(rel))
+    assert c.tail[0] == 0.0
 
 
 def test_tail_nonnegative_from_two(coeffs_h1):

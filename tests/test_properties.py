@@ -12,7 +12,11 @@ compared with a brute-force search over time changes and checked to be a
 metric.  On random paths with exact integer times, the unit conversions
 are checked against the float path, the killing, reflecting and
 fast-forwarding maps against their exact identities, and the reflections
-against the minimal-pushing rules.
+against the minimal-pushing rules.  The O(n^2) Hessenberg factorisation
+behind every generator solve is checked against scipy.linalg.solve, by
+residual, on random upper Hessenberg matrices (diagonally dominant ones and
+ones whose tiny diagonal forces row swaps) and on the generator systems of
+all six pairs.
 """
 
 import bisect
@@ -23,6 +27,7 @@ import numpy as np
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from oneside_levy import ratemat
 from oneside_levy.errors import EmptyRegionError
 from oneside_levy.grunwald import compute_coeffs
 from oneside_levy.paths import (TICK_BITS, above, below, between,
@@ -30,8 +35,8 @@ from oneside_levy.paths import (TICK_BITS, above, below, between,
                                 kill_right, make_step_path, reflect_left,
                                 reflect_right, reflect_two_sided)
 from oneside_levy.ratemat import (ALL_PAIRS, BoundaryPair, build_restricted,
-                                  semigroup_row_diag, stationary_interior,
-                                  validity_report)
+                                  build_stopped, semigroup_row_diag,
+                                  stationary_interior, validity_report)
 from oneside_levy.symbol import LaplaceExponent, LevyMeasureSpec
 
 _CHECKS = ("row_sums_ok", "offdiag_ok", "diag_ok", "holding_ok",
@@ -94,6 +99,72 @@ def test_semigroup_row_matches_expm(alpha, lam, bc, n, t, i0_frac):
     assert row.sum() <= 1.0 + 1e-12
     if "D" not in bc.label:
         assert abs(row[1: n + 1].sum() - 1.0) <= 1e-12
+
+
+# -- Hessenberg factorisation ------------------------------------------------
+
+def _check_solves(A, scale=1.0, shift=0.0):
+    """solve(b, trans) of ratemat._factor against scipy.linalg.solve: the
+    residual of M x = b (M^T x = b) stays within 8 times the reference
+    solution's residual or 8 n eps |M| |x|, whichever is larger."""
+    n = A.shape[0]
+    M = scale * A + shift * np.eye(n)
+    solve = ratemat._factor(A, scale, shift)
+    b = np.random.default_rng(n).standard_normal(n)
+    for trans, Mt in ((0, M), (1, M.T)):
+        x = solve(b, trans=trans)
+        ref = scipy.linalg.solve(Mt, b, check_finite=False)
+        floor = n * np.finfo(float).eps * np.max(np.abs(Mt).sum(axis=1)) \
+            * np.max(np.abs(x))
+        ref_res = np.max(np.abs(Mt @ ref - b))
+        assert np.max(np.abs(Mt @ x - b)) <= 8.0 * max(ref_res, floor)
+
+
+@st.composite
+def _hessenberg(draw):
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = np.triu(rng.uniform(-1.0, 1.0, (n, n)), -1)
+    if draw(st.booleans()):
+        # a unit subdiagonal over a diagonal 1e-3 smaller: elimination
+        # without row swaps would meet multipliers of order 1e3 at every step
+        A.flat[:: n + 1] *= 1e-3
+        A.flat[n:: n + 1] = rng.choice([-1.0, 1.0], n - 1)
+    else:
+        A.flat[:: n + 1] = np.abs(A).sum(axis=1) + 1.0  # dominant by rows
+    return A
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(A=_hessenberg())
+def test_hessenberg_factor_solves_random_matrices(A):
+    _check_solves(A)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+       lam=st.just(0.0) | st.floats(0.0, 3.0),
+       bc=st.sampled_from(ALL_PAIRS),
+       n=st.integers(3, 300),
+       t=st.floats(1e-3, 10.0))
+def test_hessenberg_factor_solves_generator_systems(alpha, lam, bc, n, t):
+    # I - gamma Q and the interior block of every pair, the NN stationary
+    # system and the transient block of the stopped chain
+    exp = LaplaceExponent(LevyMeasureSpec.tempered_stable(alpha, lam))
+    c = compute_coeffs(exp, 2.0 / (n + 1), 4 * (n + 1))
+    Q = build_restricted(c, n, bc)
+    _check_solves(Q.Q, -t / 20.0, 1.0)
+    B = Q.Q[1: n + 1, 1: n + 1]
+    if "D" in bc.label:
+        _check_solves(B)
+    if bc.label == "NN":
+        A = B.copy()
+        A[:, -1] = 1.0
+        _check_solves(A)
+        pi = stationary_interior(Q)
+        assert np.max(np.abs(pi @ B)) <= 1e-12 * abs(c.g[1])
+    S = build_stopped(c, n, 3)
+    _check_solves(S.Q[: n + 1, : n + 1], -1.0)
 
 
 # -- J1 distance between step paths ------------------------------------------

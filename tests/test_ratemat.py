@@ -6,7 +6,8 @@ import scipy.linalg
 
 from oneside_levy import ratemat
 from oneside_levy.errors import (GridMismatchError, NonConvergenceError,
-                                 NonUniqueError, SingularSystemError)
+                                 NonUniqueError, NotHessenbergError,
+                                 SingularSystemError)
 from oneside_levy.grunwald import compute_coeffs
 from oneside_levy.ratemat import (ALL_PAIRS, BoundaryPair, KrylovDiag,
                                   RateMatrix, build_restricted, build_stopped,
@@ -220,6 +221,22 @@ def test_zero_interior_block_raises_named_errors():
         stationary_interior(Qnn)
 
 
+def test_entry_below_subdiagonal_raises_named_error(stable_exp):
+    # the factorisation reads only two rows per column, so an entry it would
+    # skip must stop it, never give a silently wrong solve
+    A = np.eye(6)
+    A[4, 2] = 1e-300
+    with pytest.raises(NotHessenbergError):
+        ratemat._factor(A)
+    n = 9
+    Q = build_restricted(coeffs_for_n(stable_exp, n), n,
+                         BoundaryPair.from_label("DD"))
+    bad = Q.Q.copy()
+    bad[n, 1] = 0.5
+    with pytest.raises(NotHessenbergError):
+        mean_absorption(RateMatrix(Q=bad, h=Q.h, bc=Q.bc, n=n), 3)
+
+
 def test_landing_law_matches_closed_form(stable_exp):
     c = compute_coeffs(stable_exp, 0.2, 2400)
     z = landing_law(c, m_below=1200, j_cap=64)
@@ -324,6 +341,40 @@ def test_semigroup_row_matches_expm_at_n499(alpha):
         assert row.sum() <= 1.0 + 1e-12
         if "D" not in bc.label:
             assert abs(row[1: n + 1].sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.95])
+@pytest.mark.parametrize("lam_t", [1e5, 1e7])
+@pytest.mark.parametrize("n", [9, 99])
+def test_semigroup_rows_at_long_horizons(alpha, lam_t, n):
+    # lam t ~ 1e5..1e7 with gamma = t/20 makes I - gamma Q nearly singular
+    # for NN.  Every row must converge or raise NonConvergenceError (a
+    # RuntimeWarning fails the test); a conservative row must be stationary
+    # within its estimate, and a killed chain must have left the interior
+    # once t is far past its slowest decay rate kappa.
+    exp = LaplaceExponent(LevyMeasureSpec.stable(alpha))
+    c = coeffs_for_n(exp, n)
+    for bc in ALL_PAIRS:
+        Q = build_restricted(c, n, bc)
+        lam = float(np.max(-np.diag(Q.Q)))
+        t = lam_t / lam
+        kappa = -float(np.max(np.linalg.eigvals(Q.Q[1: n + 1, 1: n + 1]).real))
+        for i0 in (1, (n + 1) // 2, n):
+            try:
+                row, diag = semigroup_row_diag(Q, t, i0)
+            except NonConvergenceError:
+                continue
+            est = diag.error_estimate
+            if bc.label == "NN":
+                pi = stationary_interior(Q)
+                assert np.sum(np.abs(row[1: n + 1] - pi)) <= est
+            elif bc.label == "N*N":
+                assert np.sum(np.abs(row @ Q.Q)) <= 2.0 * lam * est
+            elif alpha == 1.5 or kappa * t >= 40.0:
+                # the exact interior mass is about exp(-kappa t) <= 4e-18;
+                # at alpha = 1.5 every case here is that far out
+                assert kappa * t >= 40.0
+                assert row[1: n + 1].sum() <= est
 
 
 def test_semigroup_row_raises_without_convergence(stable_exp, monkeypatch):
