@@ -129,6 +129,8 @@ def mapped_process_mc(c: GrunwaldCoeffs, bc: BoundaryPair, n: int, i0: int,
     excursion reductions described in the module docstring; the transition
     rate matrix is never consulted, which keeps this an independent route.
     """
+    if not 1 <= i0 <= n:
+        raise ValueError(f"i0={i0} is not an interior state 1..{n}")
     if probe_times is None:
         probe_times = ()
     probes = np.asarray(sorted(probe_times), dtype=float)

@@ -1,24 +1,21 @@
 """Boundary-modified transition rate matrices on the grid -1 + i*h.
 
 The restricted chain lives on states x_i = -1 + i*h, i = 0..n+1, h = 2/(n+1),
-with absorbing end states.  Interior rows carry the free weights G_{j-i+1};
-the first and last interior rows are rewritten according to the boundary pair
-(kill D, fast-forward N, reflect N*).  Under the pair ND a re-entry from
-the left boundary that lands beyond the right end is killed, so the corner
-entry Q[1, n+1] collects sum_{j>n} T_j.  Because the weights satisfy
-sum_k G_k = psi(0) = 0 and sum_k k G_k = -psi'(0)/h = 0, that infinite sum
-equals the finite sum_{k<n} (n-k) G_k = -(T_1 + ... + T_n), which holds for
-every symbol and needs no weight beyond those of the interior rows
-(j_max >= n+2).  The module also provides the
-half-line matrix of the chain stopped on its first visit to the upper lattice,
-resolvent solves against its transpose, its exact absorption law (the
-vanishing-discount limit of beta times those resolvents, and the walk's
-first-entry law), matrix semigroups, stationary vectors and mean absorption
-times.  The grid chain moves down by at most one cell, so every system here
-is upper Hessenberg: one O(n^2) Gaussian elimination, which pivots between
-adjacent rows, factors it in place, and a transpose is solved through
-trans=1 on the same factor.  An entry below the subdiagonal, a zero pivot or
-a non-finite solution raises a named error.
+with absorbing end states.  The free walk goes from level i to level j at
+rate G_{j-i+1}, never more than one cell down.  Every generator here is that
+Toeplitz band, copied from one read-only strided view, plus boundary entries:
+row 1 and the right columns follow the boundary pair (kill D, fast-forward N,
+reflect N*), and under ND the corner Q[1, n+1] collects the re-entries killed
+beyond the right end, a finite sum for every symbol (see build_restricted).
+The module also provides the half-line matrix of the chain stopped on its
+first visit to the upper lattice, resolvent solves against its transpose, its
+exact absorption law (the vanishing-discount limit of beta times those
+resolvents), the walk's first-entry law (solved on two views of the band, with
+no stopped generator built), matrix semigroups, stationary vectors and mean
+absorption times.  Every system is upper Hessenberg: one O(n^2) Gaussian
+elimination, which pivots between adjacent rows, factors it in place, and a
+transpose is solved through trans=1 on the same factor.  An entry below the
+subdiagonal, a zero pivot or a non-finite solution raises a named error.
 
 A semigroup row e_{i0} exp(tQ) comes from shift-and-invert Arnoldi on
 (I - gamma Q^T)^{-1}, gamma proportional to t, started from e_{i0}.  One
@@ -108,6 +105,22 @@ class RateMatrix:
         return level - self.index_lo
 
 
+def _free_rows(g: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Read-only view V[r, c] = G_{c-r+1}, 0 for c < r - 1, of the free
+    walk's rows 0..rows-1 over columns 0..cols-1 (needs len(g) > cols)."""
+    padded = np.concatenate((np.zeros(rows - 1), g[: cols + 1]))
+    return np.lib.stride_tricks.sliding_window_view(padded, cols)[:0:-1]
+
+
+def _stopped_span(c: GrunwaldCoeffs, m_below: int, k_above: int) -> int:
+    """Number of levels -m_below..k_above, checked against the weights."""
+    size = m_below + k_above + 1
+    if m_below < 1 or k_above < 1 or c.j_max < size:
+        raise ValueError(f"need m_below, k_above >= 1 and j_max >= {size}, "
+                         f"got {m_below}, {k_above} and {c.j_max}")
+    return size
+
+
 def build_restricted(c: GrunwaldCoeffs, n: int, bc: BoundaryPair) -> RateMatrix:
     """Assemble the (n+2)-state generator for one boundary pair.
 
@@ -142,14 +155,11 @@ def build_restricted(c: GrunwaldCoeffs, n: int, bc: BoundaryPair) -> RateMatrix:
         b_l[0] = g[0] + g[1]
 
     Q = np.zeros((n + 2, n + 2))
-    for i in range(2, n + 1):
-        lo = i - 1
-        Q[i, lo: n] = g[0: n - i + 1]
-        if bc.right == "D":
-            Q[i, n] = g[n - i + 1]
-            Q[i, n + 1] = T[n - i + 2]
-        else:
-            Q[i, n] = T[n - i + 1]
+    Q[2: n + 1, : n + 1] = _free_rows(g, n + 1, n + 1)[2:]
+    if bc.right == "D":
+        Q[2: n + 1, n + 1] = T[n: 1: -1]
+    else:
+        Q[2: n + 1, n] = T[n - 1: 0: -1]
 
     Q[1, 0] = d_l0
     Q[1, 1: n] = b_l[: n - 1]
@@ -174,18 +184,9 @@ def build_stopped(c: GrunwaldCoeffs, m_below: int, k_above: int) -> RateMatrix:
     rows at levels <= 0 carry G_{j-i+1}.  Entries that would reference levels
     below -m_below are dropped (zero-padding truncation).
     """
-    if m_below < 1 or k_above < 1:
-        raise ValueError("m_below and k_above must be >= 1")
-    size = m_below + k_above + 1
-    if c.j_max < size:
-        raise ValueError(f"j_max={c.j_max} too small for span {size}")
+    size = _stopped_span(c, m_below, k_above)
     Q = np.zeros((size, size))
-    g = c.g
-    for row in range(m_below + 1):           # levels -m_below..0
-        ncols = min(size - row, c.j_max + 1)
-        Q[row, row: row + ncols] = g[1: ncols + 1]
-        if row >= 1:
-            Q[row, row - 1] = g[0]
+    Q[: m_below + 1] = _free_rows(c.g, m_below + 1, size)
     return RateMatrix(Q=Q, h=c.h, bc="stopped-truncated", index_lo=-m_below,
                       coeffs=c)
 
@@ -258,18 +259,13 @@ def resolvent_transpose_e(Q: RateMatrix, beta: float, i0: int) -> np.ndarray:
     return _factor(Q.Q, -1.0, beta)(rhs, trans=1)
 
 
-def _absorption_law(Q: RateMatrix, row: int) -> np.ndarray:
-    """Law of the level where the stopped chain started at row is absorbed:
-    the Green row e_row (-B)^{-1} of the transient block B (levels
-    index_lo..0, where the law is exactly 0) times the rates into each upper
-    level.  It falls short of 1 by the mass lost below index_lo."""
-    t = Q.state_index(0) + 1
-    e = np.zeros(t)
+def _absorption_law(B: np.ndarray, upper: np.ndarray, row: int):
+    """Absorption law over the upper levels of a chain started in transient
+    state row: the Green row e_row (-B)^{-1} of the transient block B times
+    upper, the rates into those levels.  Mass lost elsewhere is missing."""
+    e = np.zeros(B.shape[0])
     e[row] = 1.0
-    w = _factor(Q.Q[:t, :t], -1.0)(e, trans=1)
-    law = np.zeros(Q.size)
-    law[t:] = w @ Q.Q[:t, t:]
-    return law
+    return _factor(B, -1.0)(e, trans=1) @ upper
 
 
 def stopped_resolvent_profile(exp: LaplaceExponent, c: GrunwaldCoeffs,
@@ -317,8 +313,10 @@ def ergodic_limit_z(Q_stopped: RateMatrix, beta_sequence: Sequence[float]):
     if beta <= 0.0:
         raise ValueError("betas must be positive")
     row = Q_stopped.state_index(0)
-    return (_absorption_law(Q_stopped, row),
-            beta * resolvent_transpose_e(Q_stopped, beta, row))
+    Q, t = Q_stopped.Q, row + 1
+    limit = np.zeros(Q_stopped.size)
+    limit[t:] = _absorption_law(Q[:t, :t], Q[:t, t:], row)
+    return limit, beta * resolvent_transpose_e(Q_stopped, beta, row)
 
 
 def landing_law(c: GrunwaldCoeffs, m_below: int, j_cap: int) -> np.ndarray:
@@ -326,11 +324,12 @@ def landing_law(c: GrunwaldCoeffs, m_below: int, j_cap: int) -> np.ndarray:
 
     The absorption law of the chain stopped above level 0 and truncated
     below -m_below, over levels 1..j_cap (z[0] = 0); the mass beyond j_cap
-    and the truncation leak, O(1/m_below^(alpha-1)), go to z[j_cap].
+    and the truncation leak, O(1/m_below^(alpha-1)), go to z[j_cap].  The
+    solve runs on views of the free-walk band and builds no stopped generator.
     """
-    Q = build_stopped(c, m_below, j_cap)
-    top = Q.state_index(0)
-    z = _absorption_law(Q, top)[top:]
+    V = _free_rows(c.g, m_below + 1, _stopped_span(c, m_below, j_cap))
+    z = np.zeros(j_cap + 1)
+    z[1:] = _absorption_law(V[:, :-j_cap], V[:, -j_cap:], m_below)
     total = z.sum()
     if not 0.5 < total <= 1.0 + 1e-9:
         raise SingularSystemError(f"landing law mass {total:g} implausible")
@@ -377,6 +376,8 @@ def semigroup_row_diag(Q: RateMatrix, t: float, i0: int):
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     size = Q.size
+    if not 0 <= i0 < size:
+        raise IndexError(f"i0={i0} outside 0..{size - 1}")
     v = np.zeros(size)
     v[i0] = 1.0
     if t == 0.0:

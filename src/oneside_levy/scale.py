@@ -313,7 +313,14 @@ class ScaleKit:
                 wq, self.grid.dx, kink=self.grid.alpha)
         return float(self._cache["cum_Wq"][k])
 
+    def _check_point(self, x: float) -> None:
+        a = self.grid.a
+        tol = 1e-9 * max(1.0, a)
+        if not -tol <= x <= a + tol:
+            raise ValueError(f"x = {x:g} outside [0, {a:g}]")
+
     def _node_index(self, x: float) -> int:
+        self._check_point(x)
         k = round(x / self.grid.dx)
         if abs(k * self.grid.dx - x) > 1e-9 * max(1.0, self.grid.a):
             raise ValueError(f"x = {x:g} is not a grid node")
@@ -370,6 +377,7 @@ class ScaleKit:
 
     def exit_laplace_DN(self, x: float) -> float:
         """E_x[exp(-q tau)] for the exit of the a-fast-forwarded process at 0."""
+        self._check_point(x)
         g = self.grid
         if g.q == 0.0:
             return 1.0
@@ -380,6 +388,7 @@ class ScaleKit:
 
     def exit_laplace_DN_series(self, x: float) -> float:
         """Same transform through the operator-series route (oracle)."""
+        self._check_point(x)
         g = self.grid
         if g.q == 0.0:
             return 1.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oneside_levy import mc
 from oneside_levy.grunwald import compute_coeffs
 from oneside_levy.mc import (first_transition_mc, mapped_process_mc,
                              reentry_table, total_variation)
@@ -171,6 +172,19 @@ def test_absorption_guard(coeffs):
     with pytest.raises(ValueError):
         mapped_process_mc(coeffs, BoundaryPair.from_label("DD"), N, 5, 10,
                           seed=1, probe_times=(0.2, -0.1))
+
+
+@pytest.mark.parametrize("i0", [N + 1, N + 2, 0, -1])
+def test_start_state_must_be_interior(coeffs, monkeypatch, i0):
+    # the absorbing states and anything outside 0..n+1 are refused before the
+    # engine draws anything
+    def no_draws(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(mc, "_simulate", no_draws)
+    with pytest.raises(ValueError, match="interior"):
+        mapped_process_mc(coeffs, BoundaryPair.from_label("DD"), N, i0, 200,
+                          seed=1, probe_times=(0.5,))
 
 
 def test_first_transition_small(coeffs, reentry):

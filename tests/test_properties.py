@@ -63,6 +63,56 @@ def test_all_pairs_valid_at_cli_depth(binom_oracle, alpha, lam, n):
             assert abs(Q.Q[1, n + 1] - closed) <= 1e-12 * abs(c.g[1])
 
 
+def _restricted_oracle(c, n, bc):
+    """The restricted generator filled row by row (test oracle)."""
+    g, T = c.g, c.tail
+    Q = np.zeros((n + 2, n + 2))
+    left = {"D": g[: n + 1].copy(), "N": np.concatenate(([0.0], T[1: n + 1])),
+            "Nstar": np.concatenate(([0.0, g[0] + g[1]], g[2: n + 1]))}
+    Q[1, : n + 1] = left[bc.left]
+    for i in range(2, n + 1):
+        Q[i, i - 1: n + 1] = g[: n - i + 2]
+        if bc.right == "D":
+            Q[i, n + 1] = T[n - i + 2]
+        else:
+            Q[i, n] = T[n - i + 1]
+    if bc.right == "D":
+        Q[1, n + 1] = (-float(np.sum(T[1: n + 1])) if bc.left == "N"
+                       else T[n + 1])
+    else:
+        Q[1, n] = -(Q[1, 0] + float(np.sum(Q[1, 1: n])))
+    return Q
+
+
+def _stopped_oracle(c, m_below, k_above):
+    """The stopped generator filled row by row (test oracle)."""
+    size = m_below + k_above + 1
+    Q = np.zeros((size, size))
+    for r in range(m_below + 1):
+        lo = max(r - 1, 0)
+        Q[r, lo:] = c.g[lo - r + 1: size - r + 1]
+    return Q
+
+
+# Every generator copies the free walk's band G_{j-i+1} from one strided
+# view; row by row it must give the same bits, at the smallest depth each
+# builder accepts and deeper.
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+       lam=st.just(0.0) | st.floats(0.0, 3.0),
+       n=st.integers(3, 300), extra=st.integers(0, 3),
+       m_below=st.integers(1, 30), k_above=st.integers(1, 30))
+def test_generators_match_row_loops(alpha, lam, n, extra, m_below, k_above):
+    exp = LaplaceExponent(LevyMeasureSpec.tempered_stable(alpha, lam))
+    c = compute_coeffs(exp, 2.0 / (n + 1), n + 2 + extra)
+    for bc in ALL_PAIRS:
+        assert np.array_equal(build_restricted(c, n, bc).Q,
+                              _restricted_oracle(c, n, bc)), bc.label
+    c = compute_coeffs(exp, 0.5, m_below + k_above + 1 + extra)
+    assert np.array_equal(build_stopped(c, m_below, k_above).Q,
+                          _stopped_oracle(c, m_below, k_above))
+
+
 # The NN boundary rows are negated partial sums of the interior weights, so
 # every interior column sums to zero and the uniform vector is stationary at
 # every mesh.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,26 @@ def test_landing_law_matches_closed_form(stable_exp):
     assert z.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_landing_law_rejects_bad_spans(stable_exp):
+    c = compute_coeffs(stable_exp, 0.2, 100)
+    for m_below, j_cap in ((0, 8), (8, 0), (90, 10)):
+        with pytest.raises(ValueError):
+            landing_law(c, m_below, j_cap)
+
+
+def test_landing_law_builds_no_stopped_generator(stable_exp):
+    # the dense 4025-level stopped generator alone is 124 MiB; the factor's
+    # copy of the 3001-level transient block is 69 MiB
+    c = compute_coeffs(stable_exp, 0.2, 8192)
+    tracemalloc.start()
+    try:
+        landing_law(c, 3000, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
+
+
 def test_semigroup_row_basics(stable_exp):
     n = 9
     c = coeffs_for_n(stable_exp, n)
@@ -321,6 +342,18 @@ def test_semigroup_row_krylov_edges(stable_exp):
         err = np.max(np.abs(row - _dense_uniformization(Q, 400.0, i0)))
         assert err <= diag.error_estimate and err <= 1e-12
         assert row.min() >= 0.0
+
+
+def test_semigroup_row_rejects_start_outside_the_states(stable_exp):
+    # a negative i0 must not index from the end, nor i0 = size fail inside
+    # numpy
+    n = 9
+    Q = build_restricted(coeffs_for_n(stable_exp, n), n,
+                         BoundaryPair.from_label("DN"))
+    for i0 in (-3, -1, Q.size):
+        for t in (0.0, 0.5):
+            with pytest.raises(IndexError, match="outside"):
+                semigroup_row_diag(Q, t, i0)
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.9])

@@ -271,6 +271,22 @@ def test_exit_laplace_routes(kit):
     assert k0.exit_laplace_DN(0.5) == 1.0
 
 
+@pytest.mark.parametrize("x", [-0.1, 1.2])
+@pytest.mark.parametrize("method", [
+    "resolvent_density_DN", "resolvent_density_NN", "mass_DN", "mass_NN",
+    "exit_laplace_DN", "exit_laplace_DN_series"])
+def test_points_off_the_interval_raise(method, x):
+    # off [0, a] no mass, density or exit transform is defined
+    kit = ScaleKit(ScaleGrid(a=1.0, m=64, alpha=ALPHA, q=1.0))
+    with pytest.raises(ValueError, match="outside"):
+        getattr(kit, method)(x)
+
+
+def test_scale_functions_stay_defined_off_the_interval(kit):
+    assert kit.W(-0.1) == kit.Wq(-0.1) == 0.0 and kit.Zq(-0.1) == 1.0
+    assert kit.W(1.2) > 0.0 and kit.Wq(1.2) > 0.0 and kit.Zq(1.2) > 1.0
+
+
 def test_exit_laplace_derivative_is_mean(kit):
     # -d/dq at 0 of the exit transform equals the closed-form mean exit
     dq = 1e-4
