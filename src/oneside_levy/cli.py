@@ -316,7 +316,6 @@ _RUNNERS = {
     "coeffs": run_coeffs,
     "matrix": run_matrix,
     "validate": run_validate,
-    "simulate": run_simulate,
     "semigroup": run_semigroup,
     "scale": run_scale,
     "resolvent": run_resolvent,
@@ -328,10 +327,14 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig, out: Path,
                    fmt: str = "csv") -> ComparisonReport:
+    kind = cfg.kind
+    if kind == "suite":
+        raise ConfigError("kind 'suite' runs a directory of configs, not one "
+                          "experiment")
     out.mkdir(parents=True, exist_ok=True)
-    rep = (run_simulate(cfg, out, fmt) if cfg.kind == "simulate"
-           else _RUNNERS[cfg.kind](cfg, out))
-    rep.write(out / f"report_{cfg.kind}.json")
+    rep = (run_simulate(cfg, out, fmt) if kind == "simulate"
+           else _RUNNERS[kind](cfg, out))
+    rep.write(out / f"report_{kind}.json")
     return rep
 
 

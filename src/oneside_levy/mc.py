@@ -12,7 +12,10 @@ two exact reductions:
 * below a lower fast-forwarded barrier the re-entry point of a deep excursion
   is completed by a ladder of independent one-level first-entry increments
   (translation invariance plus the strong Markov property), each drawn from
-  the landing law computed by linear algebra in :func:`ratemat.landing_law`.
+  a cumulative first-entry table.  The caller builds it with
+  :func:`reentry_table` in the mode it chooses (the landing law of
+  :func:`ratemat.landing_law`, or the exact tail identity) and passes it in;
+  the engine never builds one itself.
 
 Shallow below-barrier excursions (the overwhelming majority) are simulated
 step by step; only excursions longer than EXC_BUDGET steps fall back to the
@@ -124,6 +127,8 @@ def mapped_process_mc(c: GrunwaldCoeffs, bc: BoundaryPair, n: int, i0: int,
     Returns (counts, times, diag): counts has one row per probe time with the
     empirical state histogram over 0..n+1; times is the array of absorption
     times when collect_absorption is set (and the chain has a killing side).
+    A left fast-forwarded boundary needs the caller's reentry_cum
+    (:func:`reentry_table`); other pairs ignore it.
 
     The dynamics are the pathwise boundary maps fused with the exact
     excursion reductions described in the module docstring; the transition
@@ -141,23 +146,22 @@ def mapped_process_mc(c: GrunwaldCoeffs, bc: BoundaryPair, n: int, i0: int,
     if collect_absorption == bool(len(probes)):
         raise ValueError("collect either probe marginals or absorption times")
     if bc.left == "N" and reentry_cum is None:
-        reentry_cum = reentry_table(c)
+        raise ValueError("a left fast-forwarded boundary needs reentry_cum")
     counts, clock, _, diag = _simulate(c, bc, n, i0, n_paths, seed, probes,
                                        reentry_cum)
     return counts, clock if collect_absorption else np.empty(0), diag
 
 
 def first_transition_mc(c: GrunwaldCoeffs, n_samples: int, seed: int,
-                        reentry_cum: Optional[np.ndarray] = None):
+                        reentry_cum: np.ndarray):
     """Hold time and landing cell of the left-fast-forwarded walk.
 
-    The walk starts one cell above the barrier and stops at its first move.
+    The walk starts one cell above the barrier and stops at its first move;
+    deep excursions complete from reentry_cum (:func:`reentry_table`).
     Returns (holds, landings, diag): holds are the accumulated region times
     until the mapped path first moves, landings the number of cells gained by
     that move (>= 1).
     """
-    if reentry_cum is None:
-        reentry_cum = reentry_table(c)
     # a right barrier no single move reaches: a step gains at most j_max - 1
     # cells and a ladder completion lands at most len(reentry_cum) + 1
     n = max(c.j_max, len(reentry_cum) + 1)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
@@ -226,28 +227,49 @@ class TimeChange:
 
 # -- killing --------------------------------------------------------------
 
-def kill_left(p: StepPath, barrier: float = -1.0) -> StepPath:
-    """Absorb at the barrier from the first time the path is <= barrier."""
-    if p.initial <= barrier:
+def _kill(p: StepPath, barrier: float, hit) -> StepPath:
+    """Absorb at the barrier from the first value v with hit(v, barrier)."""
+    if hit(p.initial, barrier):
         return StepPath(T=p.T, initial=barrier, time_bits=p.time_bits)
     for k, v in enumerate(p.values):
-        if v <= barrier:
+        if hit(v, barrier):
             return make_step_path(p.T, p.initial, p.epochs[: k + 1],
                                   p.values[:k] + (barrier,), p.time_bits)
     return p
+
+
+def kill_left(p: StepPath, barrier: float = -1.0) -> StepPath:
+    """Absorb at the barrier from the first time the path is <= barrier."""
+    return _kill(p, barrier, operator.le)
 
 
 def kill_right(p: StepPath, barrier: float = 1.0) -> StepPath:
-    if p.initial >= barrier:
-        return StepPath(T=p.T, initial=barrier, time_bits=p.time_bits)
-    for k, v in enumerate(p.values):
-        if v >= barrier:
-            return make_step_path(p.T, p.initial, p.epochs[: k + 1],
-                                  p.values[:k] + (barrier,), p.time_bits)
-    return p
+    """Absorb at the barrier from the first time the path is >= barrier."""
+    return _kill(p, barrier, operator.ge)
 
 
 # -- reflection -----------------------------------------------------------
+
+def _reflect(p: StepPath, barrier: float, sign: float, with_pushing: bool):
+    """Minimal-pushing map keeping sign * (path - barrier) >= 0.
+
+    The push is the running maximum of sign * (barrier - v), floored at 0,
+    and moves each value by sign * push.  One kernel serves both sides
+    exactly: IEEE subtraction is sign-symmetric, so sign * (barrier - v) and
+    v + sign * push round as the mirrored expressions would.
+    """
+    push = 0.0
+    out_vals, push_vals = [], []
+    for v in p.values:
+        push = max(push, sign * (barrier - v))
+        out_vals.append(v + sign * push)
+        push_vals.append(push)
+    out = make_step_path(p.T, p.initial, p.epochs, out_vals, p.time_bits)
+    if not with_pushing:
+        return out
+    eta = make_step_path(p.T, 0.0, p.epochs, push_vals, p.time_bits)
+    return out, eta
+
 
 def reflect_left(p: StepPath, a: float, with_pushing: bool = False):
     """Minimal-pushing map keeping the path >= a.
@@ -257,38 +279,14 @@ def reflect_left(p: StepPath, a: float, with_pushing: bool = False):
     """
     if p.initial < a:
         raise BarrierError(f"path starts below the barrier {a}")
-    run_min = p.initial - a
-    push = 0.0
-    out_vals, push_vals = [], []
-    for v in p.values:
-        run_min = min(run_min, v - a)
-        push = max(push, -(run_min if run_min < 0.0 else 0.0))
-        out_vals.append(v + push)
-        push_vals.append(push)
-    out = make_step_path(p.T, p.initial, p.epochs, out_vals, p.time_bits)
-    if not with_pushing:
-        return out
-    eta = make_step_path(p.T, 0.0, p.epochs, push_vals, p.time_bits)
-    return out, eta
+    return _reflect(p, a, 1.0, with_pushing)
 
 
 def reflect_right(p: StepPath, b: float, with_pushing: bool = False):
     """Mirror map keeping the path <= b."""
     if p.initial > b:
         raise BarrierError(f"path starts above the barrier {b}")
-    run_max = p.initial - b
-    push = 0.0
-    out_vals, push_vals = [], []
-    for v in p.values:
-        run_max = max(run_max, v - b)
-        push = max(push, run_max if run_max > 0.0 else 0.0)
-        out_vals.append(v - push)
-        push_vals.append(push)
-    out = make_step_path(p.T, p.initial, p.epochs, out_vals, p.time_bits)
-    if not with_pushing:
-        return out
-    eta = make_step_path(p.T, 0.0, p.epochs, push_vals, p.time_bits)
-    return out, eta
+    return _reflect(p, b, -1.0, with_pushing)
 
 
 def reflect_two_sided(p: StepPath, a: float, b: float,
@@ -418,7 +416,11 @@ def apply_boundary(p: StepPath, bc: BoundaryPair, h: float) -> StepPath:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Common Monte Carlo knobs; tail_eps caps the lumped jump-tail mass."""
+    """Common Monte Carlo knobs; tail_eps caps the lumped jump-tail mass.
+
+    The horizon must be finite (a NaN or infinite T would never end a
+    simulated path) and so must the start x0.
+    """
 
     seed: int
     paths: int
@@ -429,8 +431,10 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.tail_eps <= 1e-3:
             raise ValueError("tail_eps must lie in (0, 1e-3]")
-        if self.T <= 0.0 or self.paths < 1:
-            raise ValueError("need T > 0 and paths >= 1")
+        if not 0.0 < self.T < math.inf or self.paths < 1:
+            raise ValueError("need 0 < T < inf and paths >= 1")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
 
 
 def rng_for_path(seed: int, k: int) -> np.random.Generator:

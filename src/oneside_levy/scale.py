@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -185,18 +186,15 @@ class ScaleGrid:
 
 @dataclass
 class ScaleKit:
-    """Evaluators for W, W_q, Z_q and the operator series on one grid."""
+    """Evaluators for W, W_q, Z_q and the operator series on one grid.
+
+    The grid values and integrals that the densities, masses and exits share
+    are cached properties, computed on first use.
+    """
 
     grid: ScaleGrid
     last_error_estimate: float = field(default=0.0, init=False)
     last_n_terms: int = field(default=0, init=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
-
-    def _grid_eval(self, name: str) -> np.ndarray:
-        if name not in self._cache:
-            fn = {"W": self.W, "Wq": self.Wq, "Zq": self.Zq}[name]
-            self._cache[name] = fn(self.grid.nodes)
-        return self._cache[name]
 
     # -- closed forms (stable symbol) ---------------------------------------
 
@@ -299,19 +297,29 @@ class ScaleKit:
 
     # -- resolvent densities and exit laws ----------------------------------
 
-    def _int_Zq(self) -> float:
-        if "int_Zq" not in self._cache:
-            zq = self._grid_eval("Zq")
-            self._cache["int_Zq"] = float(
-                cumulative_integral(zq, self.grid.dx)[-1])
-        return self._cache["int_Zq"]
+    @cached_property
+    def _wq(self) -> np.ndarray:
+        return self.Wq(self.grid.nodes)
 
-    def _int_Wq_to(self, k: int) -> float:
-        if "cum_Wq" not in self._cache:
-            wq = self._grid_eval("Wq")
-            self._cache["cum_Wq"] = cumulative_integral(
-                wq, self.grid.dx, kink=self.grid.alpha)
-        return float(self._cache["cum_Wq"][k])
+    @cached_property
+    def _zq(self) -> np.ndarray:
+        return self.Zq(self.grid.nodes)
+
+    @cached_property
+    def _int_zq(self) -> float:
+        """Integral of Z_q over [0, a]."""
+        return float(cumulative_integral(self._zq, self.grid.dx)[-1])
+
+    @cached_property
+    def _cum_wq(self) -> np.ndarray:
+        """Integrals of W_q over [0, x_k] at the grid nodes x_k."""
+        return cumulative_integral(self._wq, self.grid.dx,
+                                   kink=self.grid.alpha)
+
+    @cached_property
+    def _series_grids(self):
+        """(Z_q, W_q) on the grid through the operator series."""
+        return self.Zq_series(), self.Wq_series()
 
     def _check_point(self, x: float) -> None:
         a = self.grid.a
@@ -328,9 +336,8 @@ class ScaleKit:
 
     def _wq_shifted(self, k: int) -> np.ndarray:
         """W_q(x_k - y_j) over grid nodes y_j, zero for y_j >= x_k."""
-        wq = self._grid_eval("Wq")
         out = np.zeros(self.grid.m + 1)
-        out[:k + 1] = wq[k::-1]
+        out[:k + 1] = self._wq[k::-1]
         return out
 
     def resolvent_density_DN(self, x: float) -> np.ndarray:
@@ -339,11 +346,9 @@ class ScaleKit:
         q-potential of the process fast-forwarded at a and killed on exiting
         (0, a].  x must be a grid node.
         """
-        g = self.grid
         k = self._node_index(x)
-        zq = self._grid_eval("Zq")
-        wq = self._grid_eval("Wq")
-        dens = wq[k] / zq[-1] * zq[::-1] - self._wq_shifted(k)
+        zq = self._zq
+        dens = self._wq[k] / zq[-1] * zq[::-1] - self._wq_shifted(k)
         self._check_density(dens)
         return dens
 
@@ -353,8 +358,8 @@ class ScaleKit:
         if g.q <= 0.0:
             raise ValueError("the two-sided density needs q > 0")
         k = self._node_index(x)
-        zq = self._grid_eval("Zq")
-        dens = zq[k] / (g.q * self._int_Zq()) * zq[::-1] - self._wq_shifted(k)
+        zq = self._zq
+        dens = zq[k] / (g.q * self._int_zq) * zq[::-1] - self._wq_shifted(k)
         self._check_density(dens)
         return dens
 
@@ -367,13 +372,15 @@ class ScaleKit:
     def mass_DN(self, x: float) -> float:
         """Total mass of the DN density at a grid node x (quadrature)."""
         g = self.grid
-        return float(self.Wq(x) / self.Zq(g.a) * self._int_Zq()
-                     - self._int_Wq_to(self._node_index(x)))
+        return float(self.Wq(x) / self.Zq(g.a) * self._int_zq
+                     - self._cum_wq[self._node_index(x)])
 
     def mass_NN(self, x: float) -> float:
-        g = self.grid
-        return float(self.Zq(x) / (g.q * self._int_Zq()) * self._int_Zq()
-                     - self._int_Wq_to(self._node_index(x)))
+        """Total mass Z_q(x)/q - int_0^x W_q of the NN density, q > 0."""
+        q = self.grid.q
+        if q <= 0.0:
+            raise ValueError("the two-sided mass needs q > 0")
+        return float(self.Zq(x) / q - self._cum_wq[self._node_index(x)])
 
     def exit_laplace_DN(self, x: float) -> float:
         """E_x[exp(-q tau)] for the exit of the a-fast-forwarded process at 0."""
@@ -381,7 +388,7 @@ class ScaleKit:
         g = self.grid
         if g.q == 0.0:
             return 1.0
-        val = self.Zq(x) - g.q * self._int_Zq() / self.Zq(g.a) * self.Wq(x)
+        val = self.Zq(x) - g.q * self._int_zq / self.Zq(g.a) * self.Wq(x)
         if not -1e-8 <= val <= 1.0 + 1e-8:
             raise RangeExceededError(f"exit transform {val:g} outside [0, 1]")
         return float(min(max(val, 0.0), 1.0))
@@ -392,11 +399,7 @@ class ScaleKit:
         g = self.grid
         if g.q == 0.0:
             return 1.0
-        if "Zq_series" not in self._cache:
-            self._cache["Zq_series"] = self.Zq_series()
-            self._cache["Wq_series"] = self.Wq_series()
-        zq = self._cache["Zq_series"]
-        wq = self._cache["Wq_series"]
+        zq, wq = self._series_grids
         k = self._node_index(x)
         int_zq = float(cumulative_integral(zq, g.dx)[-1])
         return float(zq[k] - g.q * int_zq / zq[-1] * wq[k])

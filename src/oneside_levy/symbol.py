@@ -14,8 +14,8 @@ evaluates the mesh-h discrete symbol
 
     varphi(beta) = exp(h*beta) * psi((1 - exp(-h*beta)) / h)
 
-and its inverse, which parameterises resolvent profiles of the stopped grid
-chain.
+and its inverse (Brent's method on a doubling bracket), which parameterises
+resolvent profiles of the stopped grid chain.
 """
 
 from __future__ import annotations
@@ -259,17 +259,13 @@ class LaplaceExponent:
         except OverflowError:
             return math.inf
 
-    def varphi_prime(self, h: float, beta: float) -> float:
-        hb = h * beta
-        s = -math.expm1(-hb) / h
-        return h * math.exp(hb) * self.psi(s) + self.psi_prime(max(s, 1e-300))
-
     def varphi_inverse(self, h: float, y: float) -> float:
         """Solve varphi(h, beta) = y for beta >= 0.
 
         varphi is strictly increasing with varphi(0) = 0, so a doubling
-        bracket always terminates for representable y.  The bisection root is
-        polished with Newton steps to |varphi(b) - y| <= 1e-12 * max(1, y).
+        bracket always terminates for representable y.  Brent's method on
+        that bracket gives the root; BracketError unless it meets
+        |varphi(b) - y| <= 1e-12 * max(1, y).
         """
         if y < 0.0:
             raise ValueError(f"y must be >= 0, got {y}")
@@ -286,16 +282,6 @@ class LaplaceExponent:
             raise BracketError(f"no upper bracket for varphi inverse at y={y:g}")
         b = optimize.brentq(lambda t: self.varphi(h, t) - y, 0.0, hi,
                             xtol=1e-300, rtol=8.9e-16, maxiter=300)
-        tol = _INVERSE_RTOL * max(1.0, abs(y))
-        for _ in range(8):
-            f = self.varphi(h, b) - y
-            if abs(f) <= tol:
-                break
-            step = f / self.varphi_prime(h, b)
-            nb = b - step
-            if not (nb > 0.0 and math.isfinite(nb)):
-                break
-            b = nb
-        if abs(self.varphi(h, b) - y) > tol:
+        if abs(self.varphi(h, b) - y) > _INVERSE_RTOL * max(1.0, y):
             raise BracketError(f"varphi inverse did not converge at y={y:g}")
         return b

@@ -176,6 +176,11 @@ def test_suite_and_exit_codes(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["suite", "--suite-dir", str(empty), "--out", str(out)]) == 2
+    # a suite config inside a suite directory is a configuration error too
+    nested = tmp_path / "nested"
+    nested.mkdir()
+    write_cfg(nested, "kind = suite\n", name="inner.cfg")
+    assert main(["suite", "--suite-dir", str(nested), "--out", str(out)]) == 2
     # missing config file
     assert main(["matrix", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(out)]) == 2

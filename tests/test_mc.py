@@ -159,7 +159,7 @@ def test_absorption_times_match_matrix_solve(stable_exp, coeffs, reentry):
     assert abs(times.mean() - target) <= 4.0 * se
 
 
-def test_absorption_guard(coeffs):
+def test_absorption_guard(coeffs, monkeypatch):
     with pytest.raises(ValueError):
         mapped_process_mc(coeffs, BoundaryPair.from_label("NN"), N, 5, 10,
                           seed=1, collect_absorption=True)
@@ -172,6 +172,16 @@ def test_absorption_guard(coeffs):
     with pytest.raises(ValueError):
         mapped_process_mc(coeffs, BoundaryPair.from_label("DD"), N, 5, 10,
                           seed=1, probe_times=(0.2, -0.1))
+
+    # a left fast-forwarded boundary needs the caller's re-entry table; the
+    # engine builds none and draws nothing without it
+    def no_draws(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(mc, "_simulate", no_draws)
+    with pytest.raises(ValueError, match="reentry_cum"):
+        mapped_process_mc(coeffs, BoundaryPair.from_label("ND"), N, 5, 10,
+                          seed=1, probe_times=(0.1,))
 
 
 @pytest.mark.parametrize("i0", [N + 1, N + 2, 0, -1])

@@ -435,6 +435,16 @@ def test_simulate_cp_deterministic(coeffs_n9):
     assert a != c
 
 
+@pytest.mark.parametrize("bad", [dict(T=0.0), dict(T=-1.0),
+                                 dict(T=math.nan), dict(T=math.inf),
+                                 dict(x0=math.nan), dict(x0=math.inf)])
+def test_sim_config_needs_finite_horizon_and_start(bad):
+    # a NaN or infinite horizon would never end a simulated path, so the
+    # config refuses it before any simulation
+    with pytest.raises(ValueError):
+        sim_cfg(**bad)
+
+
 def test_jump_table_tail_lumping(stable_exp, coeffs_n9):
     from oneside_levy.errors import TailEpsUnreachableError
 

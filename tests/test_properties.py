@@ -12,7 +12,9 @@ compared with a brute-force search over time changes and checked to be a
 metric.  On random paths with exact integer times, the unit conversions
 are checked against the float path, the killing, reflecting and
 fast-forwarding maps against their exact identities, and the reflections
-against the minimal-pushing rules.  The O(n^2) Hessenberg factorisation
+against the minimal-pushing rules, and the shared killing and one-sided
+reflection kernels against the mirrored loops they replaced, bit for bit
+with the sign of zero.  The O(n^2) Hessenberg factorisation
 behind every generator solve is checked against scipy.linalg.solve, by
 residual, on random upper Hessenberg matrices (diagonally dominant ones and
 ones whose tiny diagonal forces row swaps) and on the generator systems of
@@ -30,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from oneside_levy import ratemat
 from oneside_levy.errors import EmptyRegionError
 from oneside_levy.grunwald import compute_coeffs
-from oneside_levy.paths import (TICK_BITS, above, below, between,
+from oneside_levy.paths import (TICK_BITS, StepPath, above, below, between,
                                 fast_forward, j1_distance, kill_left,
                                 kill_right, make_step_path, reflect_left,
                                 reflect_right, reflect_two_sided)
@@ -454,3 +456,87 @@ def test_reflection_pushes_minimally(p):
     out, eta_a, eta_b = reflect_two_sided(p, a, b, with_pushing=True)
     assert out.time_bits == eta_a.time_bits == eta_b.time_bits == TICK_BITS
     _check_minimal_pushing(p, out, [(eta_a, a, 1), (eta_b, b, -1)], a, b)
+
+
+# -- one kernel per map --------------------------------------------------------
+
+# The mirrored loops that the shared killing and reflection kernels replaced,
+# kept as oracles.
+
+def _kill_left_loop(p, barrier=-1.0):
+    if p.initial <= barrier:
+        return StepPath(T=p.T, initial=barrier, time_bits=p.time_bits)
+    for k, v in enumerate(p.values):
+        if v <= barrier:
+            return make_step_path(p.T, p.initial, p.epochs[: k + 1],
+                                  p.values[:k] + (barrier,), p.time_bits)
+    return p
+
+
+def _kill_right_loop(p, barrier=1.0):
+    if p.initial >= barrier:
+        return StepPath(T=p.T, initial=barrier, time_bits=p.time_bits)
+    for k, v in enumerate(p.values):
+        if v >= barrier:
+            return make_step_path(p.T, p.initial, p.epochs[: k + 1],
+                                  p.values[:k] + (barrier,), p.time_bits)
+    return p
+
+
+def _reflect_left_loop(p, a):
+    """Running-minimum reflection with its pushing path (test oracle)."""
+    run_min = p.initial - a
+    push = 0.0
+    out_vals, push_vals = [], []
+    for v in p.values:
+        run_min = min(run_min, v - a)
+        push = max(push, -(run_min if run_min < 0.0 else 0.0))
+        out_vals.append(v + push)
+        push_vals.append(push)
+    return (make_step_path(p.T, p.initial, p.epochs, out_vals, p.time_bits),
+            make_step_path(p.T, 0.0, p.epochs, push_vals, p.time_bits))
+
+
+def _reflect_right_loop(p, b):
+    """Running-maximum reflection with its pushing path (test oracle)."""
+    run_max = p.initial - b
+    push = 0.0
+    out_vals, push_vals = [], []
+    for v in p.values:
+        run_max = max(run_max, v - b)
+        push = max(push, run_max if run_max > 0.0 else 0.0)
+        out_vals.append(v - push)
+        push_vals.append(push)
+    return (make_step_path(p.T, p.initial, p.epochs, out_vals, p.time_bits),
+            make_step_path(p.T, 0.0, p.epochs, push_vals, p.time_bits))
+
+
+def _assert_same_bits(p, q):
+    assert p == q and p.time_bits == q.time_bits
+    assert ([math.copysign(1.0, v) for v in p.all_values()]
+            == [math.copysign(1.0, v) for v in q.all_values()])
+
+
+# Values on the h = 0.2 lattice (one rounding each, as the simulator emits
+# them, and a negative zero); barriers on and off the lattice.
+_LATTICE = [(2.0 * k - 10.0) / 10.0 for k in range(-5, 16)] + [-0.0]
+_BARRIERS = (st.sampled_from(_LATTICE + [0.2 - 1.0, 1.0 - 0.2])
+             | st.floats(-2.5, 2.5))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(p=_random_time_paths(st.sampled_from(_LATTICE)),
+       exact=st.booleans(), barrier=_BARRIERS)
+def test_kill_and_reflect_kernels_match_mirrored_loops(p, exact, barrier):
+    if exact:
+        p = p.with_exact_times()
+    _assert_same_bits(kill_left(p, barrier), _kill_left_loop(p, barrier))
+    _assert_same_bits(kill_right(p, barrier), _kill_right_loop(p, barrier))
+    a, b = min(barrier, p.initial), max(barrier, p.initial)
+    for reflect, loop, c in ((reflect_left, _reflect_left_loop, a),
+                             (reflect_right, _reflect_right_loop, b)):
+        out, eta = loop(p, c)
+        got_out, got_eta = reflect(p, c, with_pushing=True)
+        _assert_same_bits(got_out, out)
+        _assert_same_bits(got_eta, eta)
+        _assert_same_bits(reflect(p, c), out)

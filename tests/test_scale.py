@@ -249,13 +249,22 @@ def test_resolvent_density_NN(kit):
     assert kit.mass_NN(0.3) == pytest.approx(1.0 / kit.grid.q, abs=1e-6)
 
 
+@pytest.mark.parametrize("method", ["resolvent_density_NN", "mass_NN"])
+def test_two_sided_needs_positive_q(method):
+    # at q = 0 the NN potential has infinite mass: a named error, not a
+    # division by zero
+    k0 = ScaleKit(ScaleGrid(a=1.0, m=64, alpha=ALPHA, q=0.0))
+    with pytest.raises(ValueError, match="needs q > 0"):
+        getattr(k0, method)(0.5)
+
+
 def test_resolvent_NN_x_average_uniform(kit):
     # averaging the two-sided density over the start point reproduces the
     # flat density 1/(q a): trapezoid in x, kink-aware integral for the
     # shifted scale-function term
     g = kit.grid
     zq = kit.Zq(g.nodes)
-    int_zq = kit._int_Zq()
+    int_zq = float(cumulative_integral(zq, g.dx)[-1])
     avg_first = (int_zq / g.a) * zq[::-1] / (g.q * int_zq)
     cum_wq = cumulative_integral(kit.Wq(g.nodes), g.dx, kink=g.alpha)
     avg_second = cum_wq[::-1] / g.a

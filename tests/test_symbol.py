@@ -155,11 +155,19 @@ def test_varphi_values_and_monotonicity(stable_exp):
 
 
 def test_varphi_inverse_roundtrip(stable_exp, rng):
-    for h in (1.0, 0.5, 0.1):
-        for b in rng.uniform(0.05, 8.0, size=10):
-            y = stable_exp.varphi(h, b)
-            back = stable_exp.varphi_inverse(h, y)
-            assert back == pytest.approx(b, rel=1e-10, abs=1e-12)
+    # Brent's root meets the residual contract on every symbol family,
+    # the quadrature route included
+    exps = [stable_exp,
+            LaplaceExponent(LevyMeasureSpec.tempered_stable(1.5, 0.7)),
+            LaplaceExponent(LevyMeasureSpec.tempered_stable(1.3, 3.0)),
+            LaplaceExponent(tempered_custom(1.5, 2.0))]
+    for exp in exps:
+        for h in (1.0, 0.5, 0.1):
+            for b in rng.uniform(0.05, 8.0, size=10):
+                y = exp.varphi(h, b)
+                back = exp.varphi_inverse(h, y)
+                assert abs(exp.varphi(h, back) - y) <= 1e-12 * max(1.0, y)
+                assert back == pytest.approx(b, rel=1e-10, abs=1e-12)
 
 
 def test_varphi_inverse_residual_contract(stable_exp):
