@@ -115,10 +115,13 @@ def run_validate(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
 def run_simulate(cfg: ExperimentConfig, out: Path, fmt: str) -> ComparisonReport:
     h, n = _mesh(cfg)
     c = _coeffs_for(cfg, h, int(cfg.get("j_max", 4096)))
-    sim = paths.SimConfig(seed=cfg.seed, paths=int(cfg.get("paths", 100)),
-                          x0=float(cfg.get("x0", 0.0)),
-                          T=float(cfg.get("T", 1.0)),
-                          tail_eps=float(cfg.get("tail_eps", 1e-5)))
+    try:
+        sim = paths.SimConfig(seed=cfg.seed, paths=int(cfg.get("paths", 100)),
+                              x0=float(cfg.get("x0", 0.0)),
+                              T=float(cfg.get("T", 1.0)),
+                              tail_eps=float(cfg.get("tail_eps", 1e-5)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rep = ComparisonReport("simulate", dict(cfg.raw), cfg.seed)
     if fmt == "json":
         with open(out / "paths.jsonl", "w") as fh:
@@ -363,9 +366,17 @@ def run_suite(directory, out: Path, fmt: str = "csv",
     return agg
 
 
-def _default_threads() -> int:
-    env = os.environ.get("ONESIDE_LEVY_THREADS")
-    return int(env) if env else 1
+def _threads(arg: int | None) -> int:
+    """--threads, else ONESIDE_LEVY_THREADS, else 1; ConfigError below 1."""
+    raw = arg if arg is not None else os.environ.get("ONESIDE_LEVY_THREADS") or 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"thread count must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigError(f"thread count must be >= 1, got {threads}")
+    return threads
 
 
 def main(argv=None) -> int:
@@ -382,9 +393,9 @@ def main(argv=None) -> int:
     parser.add_argument("--suite-dir", help="config directory for `suite`")
     args = parser.parse_args(argv)
 
-    threads = args.threads if args.threads else _default_threads()
     out = Path(args.out)
     try:
+        threads = _threads(args.threads)
         if args.command == "suite":
             src = args.suite_dir or args.config
             if not src:

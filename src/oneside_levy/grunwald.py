@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InvalidMeasureError, OverflowGuardError, QuadratureError
 from .symbol import LaplaceExponent
@@ -119,6 +118,8 @@ def _binomial_weights(alpha: float, lam: float, h: float, j_max: int,
 
 
 def _moment_weights(exp: LaplaceExponent, h: float, j_max: int) -> np.ndarray:
+    from scipy import integrate
+
     m = exp.measure
     g = np.empty(j_max + 1)
     g[0] = exp.psi(1.0 / h)

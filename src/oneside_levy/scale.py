@@ -10,7 +10,8 @@ processes.  For the stable symbol, W(x) = x^(alpha-1)/Gamma(alpha) and the
 series collapse to Mittag-Leffler functions, which this module uses as the
 primary evaluation route; the iterated-convolution series with
 product-integration quadrature is kept as an independent oracle.  Its
-convolutions are real FFTs from scipy.fft, and it stops once a remainder
+convolutions are real FFTs from scipy.fft, imported on first use so that
+importing this module does not load it, and it stops once a remainder
 bound falls below SERIES_TOL of the series norm, or raises
 NonConvergenceError after SERIES_MAX_TERMS terms.
 
@@ -27,7 +28,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import NonConvergenceError, RangeExceededError
 
@@ -91,6 +91,8 @@ def frac_integral_grid(vals: np.ndarray, dx: float, alpha: float,
     cell is re-integrated against that power exactly (incomplete Beta), which
     restores second-order accuracy for scale-function inputs.
     """
+    from scipy.fft import irfft, next_fast_len, rfft
+
     n = len(vals) - 1
     j = np.arange(0, n + 2, dtype=float)
     pow1 = j ** (alpha + 1.0)

@@ -15,7 +15,9 @@ evaluates the mesh-h discrete symbol
     varphi(beta) = exp(h*beta) * psi((1 - exp(-h*beta)) / h)
 
 and its inverse (Brent's method on a doubling bracket), which parameterises
-resolvent profiles of the stopped grid chain.
+resolvent profiles of the stopped grid chain.  scipy.integrate (custom
+quadrature) and scipy.optimize (Brent) are imported on first use, so
+importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import BracketError, InvalidMeasureError, QuadratureError
 
@@ -209,6 +210,8 @@ class LaplaceExponent:
 
         xi (the modulus, for complex arguments) sets the tail cutoff.
         """
+        from scipy import integrate
+
         # Substitution y = t^4 flattens an integrable y^(-1-alpha) singularity
         # at 0 for every alpha < 2.
         def near(t):
@@ -267,6 +270,8 @@ class LaplaceExponent:
         that bracket gives the root; BracketError unless it meets
         |varphi(b) - y| <= 1e-12 * max(1, y).
         """
+        from scipy import optimize
+
         if y < 0.0:
             raise ValueError(f"y must be >= 0, got {y}")
         if not math.isfinite(y):

@@ -64,6 +64,15 @@ def test_simulate_json_and_determinism(tmp_path):
     assert (out1 / "paths.jsonl").read_text() == (out2 / "paths.jsonl").read_text()
 
 
+@pytest.mark.parametrize("line", ["T = inf", "T = 0", "x0 = nan", "paths = 0"])
+def test_simulate_bad_horizon_start_or_paths_is_config_error(tmp_path, line,
+                                                             capsys):
+    cfg = write_cfg(tmp_path, "n = 9\n" + line + "\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 @pytest.mark.parametrize("command, body", [
     ("coeffs", "h = 1.0\nj_max = 24\n"),
     ("semigroup", "n = 9\nbc = ND\ntimes = 0.1, 0.5\npaths = 2000\n"
@@ -197,3 +206,15 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("ONESIDE_LEVY_THREADS", "2")
     out = tmp_path / "agg"
     assert main(["suite", "--suite-dir", str(sdir), "--out", str(out)]) == 0
+    # a count that is not an integer >= 1 is a configuration error, from
+    # the environment or from --threads (which overrides the environment)
+    for env in ("two", "0", "-1", "1.5"):
+        monkeypatch.setenv("ONESIDE_LEVY_THREADS", env)
+        assert main(["suite", "--suite-dir", str(sdir),
+                     "--out", str(out)]) == 2, env
+    assert main(["suite", "--suite-dir", str(sdir), "--out", str(out),
+                 "--threads", "1"]) == 0
+    monkeypatch.setenv("ONESIDE_LEVY_THREADS", "2")
+    for arg in ("0", "-2"):
+        assert main(["suite", "--suite-dir", str(sdir), "--out", str(out),
+                     "--threads", arg]) == 2, arg
