@@ -11,7 +11,10 @@ The harness owns the affine bridge between them, x_scale = 1 - x_grid with
 a = 2, and records it in every report that uses it.  Under that bridge the
 grid pair DN corresponds to the scale-side exit problem "ND" and vice versa
 (killing happens at the jump side of one chart and the drift side of the
-other).
+other), and the grid pair N*D to "DNstar".  The scale route knows only the
+stable symbol.
+
+Every value a runner reads comes checked from `config.load_config`.
 """
 
 from __future__ import annotations
@@ -27,31 +30,54 @@ from pathlib import Path
 import numpy as np
 
 from . import grunwald, mc, paths, ratemat, scale
-from .config import (KINDS, ConfigError, ExperimentConfig, load_config)
+from .config import (BC_LABELS, EXIT_GRID_PAIR, KINDS, Config, ConfigError,
+                     load_config)
 from .errors import OnesideLevyError
 from .report import ComparisonReport, write_csv
+from .symbol import LaplaceExponent, LevyMeasureSpec
 
 _BRIDGE = "x_scale = 1 - x_grid, a = 2"
+_DEFAULT_SEED = 20240801
 
 
-def _coeffs_for(cfg: ExperimentConfig, h: float, j_max: int):
-    return grunwald.compute_coeffs(cfg.laplace_exponent(), h, j_max)
+def _laplace_exponent(cfg: Config) -> LaplaceExponent:
+    alpha = cfg["symbol.alpha"]
+    if cfg.get("symbol.kind", "stable") == "stable":
+        return LaplaceExponent(LevyMeasureSpec.stable(alpha))
+    return LaplaceExponent(LevyMeasureSpec.tempered_stable(
+        alpha, cfg.get("symbol.lambda", 0.0)))
 
 
-def _mesh(cfg: ExperimentConfig):
-    if "n" in cfg.raw:
-        n = int(cfg.require("n"))
+def _stable_alpha(cfg: Config) -> float:
+    """symbol.alpha for the scale route, which knows only the stable symbol."""
+    if cfg.get("symbol.kind", "stable") != "stable":
+        raise ConfigError(f"{cfg['kind']} needs symbol.kind = stable")
+    return cfg["symbol.alpha"]
+
+
+def _report(cfg: Config) -> ComparisonReport:
+    return ComparisonReport(cfg["kind"], dict(cfg.parsed),
+                            cfg.get("seed", _DEFAULT_SEED))
+
+
+def _coeffs_for(cfg: Config, h: float, j_max: int):
+    return grunwald.compute_coeffs(_laplace_exponent(cfg), h, j_max)
+
+
+def _mesh(cfg: Config):
+    if "n" in cfg:
+        n = cfg["n"]
         return 2.0 / (n + 1), n
-    return float(cfg.require("h")), None
+    return cfg["h"], None
 
 
 # -- experiments -------------------------------------------------------------
 
-def run_coeffs(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
+def run_coeffs(cfg: Config, out: Path) -> ComparisonReport:
     h, _ = _mesh(cfg)
-    j_max = int(cfg.get("j_max", 64))
+    j_max = cfg.get("j_max", 64)
     c = _coeffs_for(cfg, h, j_max)
-    rep = ComparisonReport("coeffs", dict(cfg.raw), cfg.seed)
+    rep = _report(cfg)
     rows = [(j, float(c.g[j]), float(c.tail[j])) for j in range(j_max + 1)]
     write_csv(out / "coeffs.csv", ["j", "G_j", "T_j"], rows)
     scale_ = abs(c.g[1])
@@ -59,7 +85,7 @@ def run_coeffs(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
             0.0, 1e-10)
     rep.add_flag("sign_pattern",
                  c.g[0] > 0 and c.g[1] < 0 and bool(np.all(c.g[2:] >= -1e-12 * scale_)))
-    est = grunwald.verify_coeffs_cauchy(cfg.laplace_exponent(), h,
+    est = grunwald.verify_coeffs_cauchy(_laplace_exponent(cfg), h,
                                         min(j_max, 64), radius=0.95,
                                         n_nodes=4096)
     ref = c.g[: len(est)]
@@ -68,19 +94,19 @@ def run_coeffs(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
     return rep
 
 
-def _build(cfg: ExperimentConfig, n: int, bc: ratemat.BoundaryPair):
-    c = _coeffs_for(cfg, 2.0 / (n + 1), max(4 * (n + 1), n + 2))
+def _build(cfg: Config, n: int, bc: ratemat.BoundaryPair):
+    c = _coeffs_for(cfg, 2.0 / (n + 1), 4 * (n + 1))
     return ratemat.build_restricted(c, n, bc)
 
 
-def run_matrix(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
-    n = int(cfg.require("n"))
-    bc = ratemat.BoundaryPair.from_label(str(cfg.require("bc")))
+def run_matrix(cfg: Config, out: Path) -> ComparisonReport:
+    n = cfg["n"]
+    bc = ratemat.BoundaryPair.from_label(cfg["bc"])
     Q = _build(cfg, n, bc)
     header = ["row\\col"] + [format(x, ".17g") for x in Q.grid]
     rows = [[format(Q.grid[i], ".17g")] + list(Q.Q[i]) for i in range(Q.size)]
     write_csv(out / f"matrix_{bc.label.replace('*', 's')}_{n}.csv", header, rows)
-    rep = ComparisonReport("matrix", dict(cfg.raw), cfg.seed)
+    rep = _report(cfg)
     _validity_metrics(Q, rep)
     (out / "matrix_report.json").write_text(
         json.dumps(ratemat.validity_report(Q), indent=2, sort_keys=True) + "\n")
@@ -97,12 +123,11 @@ def _validity_metrics(Q, rep) -> None:
         rep.add_flag("absorbing_end_rows", v["absorbing_rows_ok"])
 
 
-def run_validate(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
-    n = int(cfg.require("n"))
-    rep = ComparisonReport("validate", dict(cfg.raw), cfg.seed)
-    labels = cfg.as_list("bc", ["DD", "DN", "ND", "NN", "N*D", "N*N"])
-    for lab in labels:
-        Q = _build(cfg, n, ratemat.BoundaryPair.from_label(str(lab)))
+def run_validate(cfg: Config, out: Path) -> ComparisonReport:
+    n = cfg["n"]
+    rep = _report(cfg)
+    for lab in cfg.get("bc", BC_LABELS):
+        Q = _build(cfg, n, ratemat.BoundaryPair.from_label(lab))
         v = ratemat.validity_report(Q)
         rep.add(f"{lab}_max_abs_row_sum", v["max_abs_row_sum"], 0.0,
                 v["row_sum_tol"])
@@ -112,17 +137,16 @@ def run_validate(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
     return rep
 
 
-def run_simulate(cfg: ExperimentConfig, out: Path, fmt: str) -> ComparisonReport:
+def run_simulate(cfg: Config, out: Path, fmt: str) -> ComparisonReport:
     h, n = _mesh(cfg)
-    c = _coeffs_for(cfg, h, int(cfg.get("j_max", 4096)))
+    c = _coeffs_for(cfg, h, cfg.get("j_max", 4096))
+    rep = _report(cfg)
     try:
-        sim = paths.SimConfig(seed=cfg.seed, paths=int(cfg.get("paths", 100)),
-                              x0=float(cfg.get("x0", 0.0)),
-                              T=float(cfg.get("T", 1.0)),
-                              tail_eps=float(cfg.get("tail_eps", 1e-5)))
+        sim = paths.SimConfig(seed=rep.seed, paths=cfg.get("paths", 100),
+                              x0=cfg.get("x0", 0.0), T=cfg.get("T", 1.0),
+                              tail_eps=cfg.get("tail_eps", 1e-5))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rep = ComparisonReport("simulate", dict(cfg.raw), cfg.seed)
     if fmt == "json":
         with open(out / "paths.jsonl", "w") as fh:
             for k in range(sim.paths):
@@ -132,7 +156,7 @@ def run_simulate(cfg: ExperimentConfig, out: Path, fmt: str) -> ComparisonReport
                                      "values": list(map(float, p.values))})
                          + "\n")
     else:
-        times = [float(t) for t in cfg.as_list("times", [sim.T])]
+        times = cfg.get("times", [sim.T])
         hist = {}
         for k in range(sim.paths):
             p = paths.simulate_cp(c, sim, path_index=k)
@@ -146,50 +170,49 @@ def run_simulate(cfg: ExperimentConfig, out: Path, fmt: str) -> ComparisonReport
     return rep
 
 
-def run_semigroup(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
-    n = int(cfg.require("n"))
-    bc = ratemat.BoundaryPair.from_label(str(cfg.require("bc")))
-    times = [float(t) for t in cfg.as_list("times")]
-    i0 = int(cfg.get("i0", (n + 1) // 2))
+def run_semigroup(cfg: Config, out: Path) -> ComparisonReport:
+    n = cfg["n"]
+    bc = ratemat.BoundaryPair.from_label(cfg["bc"])
+    times = cfg["times"]
+    i0 = cfg.get("i0", (n + 1) // 2)
     Q = _build(cfg, n, bc)
     rows, diags = zip(*(ratemat.semigroup_row_diag(Q, t, i0) for t in times))
     write_csv(out / "semigroup.csv", ["t", "x", "prob"],
               [(t, float(x), float(p))
                for t, row in zip(times, rows) for x, p in zip(Q.grid, row)])
-    rep = ComparisonReport("semigroup", dict(cfg.raw), cfg.seed)
+    rep = _report(cfg)
     rep.params["semigroup_diag"] = [dict(t=t, **dataclasses.asdict(d))
                                     for t, d in zip(times, diags)]
-    n_paths = int(cfg.get("paths", 0))
+    n_paths = cfg.get("paths", 0)
     if n_paths > 0:
-        c_sim = _coeffs_for(cfg, Q.h, int(cfg.get("j_max", 8192)))
+        c_sim = _coeffs_for(cfg, Q.h, cfg.get("j_max", 8192))
         ret = (mc.reentry_table(c_sim, j_cap=min(2048, c_sim.j_max - 2),
                                 mode="tails")
                if bc.left == "N" else None)
         counts, _, diag = mc.mapped_process_mc(
-            c_sim, bc, n, i0, n_paths, cfg.seed, probe_times=times,
+            c_sim, bc, n, i0, n_paths, rep.seed, probe_times=times,
             reentry_cum=ret)
         for j, (t, row) in enumerate(zip(times, rows)):
             tv = mc.total_variation(counts[j] / n_paths, row)
-            rep.add(f"tv_t={t:g}", tv, 0.0, float(cfg.get("tv_tol", 0.02)))
+            rep.add(f"tv_t={t:g}", tv, 0.0, cfg.get("tv_tol", 0.02))
         rep.params["mc_diag"] = dataclasses.asdict(diag)
     else:
         rep.add_flag("semigroup_rows_written", True)
     return rep
 
 
-def _scale_kit(cfg: ExperimentConfig) -> scale.ScaleKit:
-    g = scale.ScaleGrid(a=float(cfg.get("a", 1.0)),
-                        m=int(cfg.get("m", 4000)),
-                        alpha=cfg.alpha, q=float(cfg.get("q", 1.0)))
+def _scale_kit(cfg: Config) -> scale.ScaleKit:
+    g = scale.ScaleGrid(a=cfg.get("a", 1.0), m=cfg.get("m", 4000),
+                        alpha=_stable_alpha(cfg), q=cfg.get("q", 1.0))
     return scale.ScaleKit(g)
 
 
-def run_scale(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
+def run_scale(cfg: Config, out: Path) -> ComparisonReport:
     kit = _scale_kit(cfg)
     x = kit.grid.nodes
     rows = zip(x, kit.W(x), kit.Wq(x), kit.Zq(x))
     write_csv(out / "scale.csv", ["x", "W", "Wq", "Zq"], rows)
-    rep = ComparisonReport("scale", dict(cfg.raw), cfg.seed)
+    rep = _report(cfg)
     gap = _zq_series_gap(kit)
     rep.params["series_diag"] = {"n_terms": kit.last_n_terms,
                                  "error_estimate": kit.last_error_estimate}
@@ -212,9 +235,9 @@ def _zq_series_gap(kit: scale.ScaleKit) -> float:
     return float(np.max(np.abs(kit.Zq_series() - zc) / np.abs(zc)))
 
 
-def run_resolvent(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
+def run_resolvent(cfg: Config, out: Path) -> ComparisonReport:
     kit = _scale_kit(cfg)
-    x = float(cfg.get("x", kit.grid.a / 2))
+    x = cfg.get("x", kit.grid.a / 2)
     q = kit.grid.q
     ddn = kit.resolvent_density_DN(x)
     dnn = kit.resolvent_density_NN(x)
@@ -222,7 +245,7 @@ def run_resolvent(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
               zip(kit.grid.nodes, ddn))
     write_csv(out / "resolvent_NN.csv", ["y", "density"],
               zip(kit.grid.nodes, dnn))
-    rep = ComparisonReport("resolvent", dict(cfg.raw), cfg.seed)
+    rep = _report(cfg)
     el = kit.exit_laplace_DN(x)
     rep.add("mass_DN_vs_exit_identity", kit.mass_DN(x), (1.0 - el) / q, 1e-6)
     rep.add("mass_NN_vs_1_over_q", kit.mass_NN(x), 1.0 / q, 1e-6)
@@ -234,12 +257,12 @@ def run_resolvent(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
     return rep
 
 
-def run_exit(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
+def run_exit(cfg: Config, out: Path) -> ComparisonReport:
     kit = _scale_kit(cfg)
     a = kit.grid.a
-    x = float(cfg.get("x", a / 2))
-    alpha = cfg.alpha
-    rep = ComparisonReport("exit", dict(cfg.raw), cfg.seed)
+    x = cfg.get("x", a / 2)
+    alpha = kit.grid.alpha
+    rep = _report(cfg)
     rep.params["coordinate_bridge"] = _BRIDGE
     rows = []
     for kind in ("DN", "DNstar", "ND"):
@@ -247,7 +270,7 @@ def run_exit(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
         rows.append((kind, x, a, val))
     write_csv(out / "exit.csv", ["kind", "x", "a", "mean_exit"], rows)
     # Laplace-derivative route: -d/dq E[e^{-q tau}] at q = 0 equals the mean
-    dq = float(cfg.get("dq", 1e-4))
+    dq = cfg.get("dq", 1e-4)
     kits = [scale.ScaleKit(scale.ScaleGrid(a=a, m=kit.grid.m, alpha=alpha, q=qq))
             for qq in (dq, 2 * dq)]
     e1, e2 = (k.exit_laplace_DN(x) for k in kits)
@@ -258,19 +281,20 @@ def run_exit(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
     return rep
 
 
-def run_convergence(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
+def run_convergence(cfg: Config, out: Path) -> ComparisonReport:
     """Mean absorption of the grid chain against the closed exit forms.
 
     Under the coordinate bridge the scale-side "DN" exit problem is the grid
-    chain with pair ND, and the scale-side "ND" problem is the grid DN chain.
+    chain with pair ND, the scale-side "ND" problem is the grid DN chain and
+    "DNstar" is the grid N*D chain.
     """
-    alpha = cfg.alpha
-    ns = [int(v) for v in cfg.as_list("n_list", [9, 19, 39, 79])]
-    scale_kind = str(cfg.get("exit.kind", "DN"))
-    grid_label = {"DN": "ND", "ND": "DN"}[scale_kind]
+    alpha = _stable_alpha(cfg)
+    ns = cfg.get("n_list", [9, 19, 39, 79])
+    scale_kind = cfg.get("exit.kind", "DN")
+    grid_label = EXIT_GRID_PAIR[scale_kind]
     bc = ratemat.BoundaryPair.from_label(grid_label)
     a = 2.0
-    rep = ComparisonReport("convergence", dict(cfg.raw), cfg.seed)
+    rep = _report(cfg)
     rep.params["coordinate_bridge"] = _BRIDGE
     rep.params["grid_pair"] = grid_label
     rows = []
@@ -291,24 +315,23 @@ def run_convergence(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
     rep.params["fitted_order"] = float(order)
     rep.add_flag("errors_decreasing",
                  all(e2 < e1 for e1, e2 in zip(errs, errs[1:])))
-    rep.add(f"rel_err_at_n={ns[-1]}", errs[-1], 0.0,
-            float(cfg.get("tol", 0.02)))
+    rep.add(f"rel_err_at_n={ns[-1]}", errs[-1], 0.0, cfg.get("tol", 0.02))
     return rep
 
 
-def run_j1(cfg: ExperimentConfig, out: Path) -> ComparisonReport:
+def run_j1(cfg: Config, out: Path) -> ComparisonReport:
     def read_path(fname):
         line = Path(fname).read_text().splitlines()[0]
         d = json.loads(line)
-        T = float(cfg.get("T", max(d["epochs"], default=1.0)))
+        T = cfg.get("T", float(max(d["epochs"], default=1.0)))
         return paths.make_step_path(T, d["initial"], d["epochs"], d["values"])
 
-    p = read_path(cfg.require("path_a"))
-    q = read_path(cfg.require("path_b"))
+    p = read_path(cfg["path_a"])
+    q = read_path(cfg["path_b"])
     T = min(float(p.T), float(q.T))
     d, _ = paths.j1_distance(p, q, T)
     d_back, _ = paths.j1_distance(q, p, T)
-    rep = ComparisonReport("j1", dict(cfg.raw), cfg.seed)
+    rep = _report(cfg)
     rep.add("symmetry_gap", d, d_back, 0.0)
     rep.params["distance"] = d
     (out / "j1.json").write_text(json.dumps({"distance": d}) + "\n")
@@ -328,9 +351,9 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, out: Path,
+def run_experiment(cfg: Config, out: Path,
                    fmt: str = "csv") -> ComparisonReport:
-    kind = cfg.kind
+    kind = cfg["kind"]
     if kind == "suite":
         raise ConfigError("kind 'suite' runs a directory of configs, not one "
                           "experiment")
@@ -348,9 +371,7 @@ def run_suite(directory, out: Path, fmt: str = "csv",
         raise ConfigError(f"no .cfg files in {directory}")
 
     def one(path):
-        cfg = ExperimentConfig(load_config(path))
-        sub = out / path.stem
-        rep = run_experiment(cfg, sub, fmt)
+        rep = run_experiment(load_config(path), out / path.stem, fmt)
         return path.name, rep.all_pass
 
     if threads > 1:
@@ -390,26 +411,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--suite-dir", help="config directory for `suite`")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
     try:
         threads = _threads(args.threads)
         if args.command == "suite":
-            src = args.suite_dir or args.config
-            if not src:
-                raise ConfigError("suite needs --suite-dir (or --config) "
-                                  "pointing at a directory of .cfg files")
-            agg = run_suite(src, out, args.format, threads)
+            if not args.config:
+                raise ConfigError("suite needs --config pointing at a "
+                                  "directory of .cfg files")
+            agg = run_suite(args.config, out, args.format, threads)
             return 0 if agg["all_pass"] else 1
         if not args.config:
             raise ConfigError(f"{args.command} needs --config")
-        raw = load_config(args.config)
-        raw["kind"] = args.command
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        cfg = ExperimentConfig(raw)
+        cfg = load_config(args.config, kind=args.command, seed=args.seed)
         rep = run_experiment(cfg, out, args.format)
         return 0 if rep.all_pass else 1
     except ConfigError as exc:

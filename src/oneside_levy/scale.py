@@ -227,17 +227,12 @@ class ScaleKit:
 
     # -- operator series (quadrature route) ---------------------------------
 
-    def Zq_apply(self, gvals: np.ndarray,
-                 g_kink: Optional[float] = None) -> np.ndarray:
+    def Zq_apply(self, gvals: np.ndarray) -> np.ndarray:
         """Operator series Z_q[g] = g + sum_n q^n (W*)^n g on the grid.
 
         Each convolution power is one fractional integration of the previous
         term.  Truncates when the absolute-convergence remainder bound
         ||g|| (q W(a))^n a^(n-1) / (n-1)! falls below SERIES_TOL * ||g||.
-
-        g_kink = p declares that g behaves like y^p * smooth at 0, letting the
-        first integration use the exact-power cell fix; later iterands gain
-        alpha powers of smoothness each round and need no fix.
         """
         g = self.grid
         gvals = np.asarray(gvals, dtype=float)
@@ -248,7 +243,7 @@ class ScaleKit:
             self.last_error_estimate = 0.0
             self.last_n_terms = 0
             return gvals.copy()
-        return self._series(gvals.copy(), gvals, 1, g_kink, norm)
+        return self._series(gvals.copy(), gvals, 1, None, norm)
 
     def Wq_series(self) -> np.ndarray:
         """W_q on the grid through the convolution series (oracle route).

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from oneside_levy.cli import main
-from oneside_levy.config import ConfigError, parse_config_text
+from oneside_levy.config import ConfigError, load_config, parse_config_text
 
 
 BASE = """
@@ -64,7 +64,8 @@ def test_simulate_json_and_determinism(tmp_path):
     assert (out1 / "paths.jsonl").read_text() == (out2 / "paths.jsonl").read_text()
 
 
-@pytest.mark.parametrize("line", ["T = inf", "T = 0", "x0 = nan", "paths = 0"])
+@pytest.mark.parametrize("line", ["T = inf", "T = 0", "x0 = nan", "paths = 0",
+                                  "paths = 2.5"])
 def test_simulate_bad_horizon_start_or_paths_is_config_error(tmp_path, line,
                                                              capsys):
     cfg = write_cfg(tmp_path, "n = 9\n" + line + "\n")
@@ -178,18 +179,18 @@ def test_suite_and_exit_codes(tmp_path):
     write_cfg(sdir, "kind = coeffs\nh = 1.0\nj_max = 24\n", name="one.cfg")
     write_cfg(sdir, "kind = validate\nn = 5\n", name="two.cfg")
     out = tmp_path / "agg"
-    assert main(["suite", "--suite-dir", str(sdir), "--out", str(out)]) == 0
+    assert main(["suite", "--config", str(sdir), "--out", str(out)]) == 0
     agg = json.loads((out / "suite_report.json").read_text())
     assert agg["all_pass"] and len(agg["experiments"]) == 2
     # empty directory is a configuration error
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert main(["suite", "--suite-dir", str(empty), "--out", str(out)]) == 2
+    assert main(["suite", "--config", str(empty), "--out", str(out)]) == 2
     # a suite config inside a suite directory is a configuration error too
     nested = tmp_path / "nested"
     nested.mkdir()
     write_cfg(nested, "kind = suite\n", name="inner.cfg")
-    assert main(["suite", "--suite-dir", str(nested), "--out", str(out)]) == 2
+    assert main(["suite", "--config", str(nested), "--out", str(out)]) == 2
     # missing config file
     assert main(["matrix", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(out)]) == 2
@@ -205,16 +206,71 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     write_cfg(sdir, "kind = coeffs\nh = 1.0\nj_max = 24\n", name="one.cfg")
     monkeypatch.setenv("ONESIDE_LEVY_THREADS", "2")
     out = tmp_path / "agg"
-    assert main(["suite", "--suite-dir", str(sdir), "--out", str(out)]) == 0
+    assert main(["suite", "--config", str(sdir), "--out", str(out)]) == 0
     # a count that is not an integer >= 1 is a configuration error, from
     # the environment or from --threads (which overrides the environment)
     for env in ("two", "0", "-1", "1.5"):
         monkeypatch.setenv("ONESIDE_LEVY_THREADS", env)
-        assert main(["suite", "--suite-dir", str(sdir),
+        assert main(["suite", "--config", str(sdir),
                      "--out", str(out)]) == 2, env
-    assert main(["suite", "--suite-dir", str(sdir), "--out", str(out),
+    assert main(["suite", "--config", str(sdir), "--out", str(out),
                  "--threads", "1"]) == 0
     monkeypatch.setenv("ONESIDE_LEVY_THREADS", "2")
     for arg in ("0", "-2"):
-        assert main(["suite", "--suite-dir", str(sdir), "--out", str(out),
+        assert main(["suite", "--config", str(sdir), "--out", str(out),
                      "--threads", arg]) == 2, arg
+
+
+@pytest.mark.parametrize("command, body", [
+    ("matrix", "n = 9.7\nbc = DD\n"),
+    ("scale", "symbol.kind = tempered_stable\nsymbol.lambda = 3\nm = 200\n"),
+    ("resolvent", "symbol.kind = tempered_stable\nsymbol.lambda = 3\n"
+                  "m = 200\n"),
+    ("exit", "symbol.kind = tempered_stable\nsymbol.lambda = 3\nm = 200\n"),
+    ("convergence", "symbol.kind = tempered_stable\nsymbol.lambda = 3\n"
+                    "n_list = 9, 19\n"),
+    ("matrix", "n = 9\nbc = DD\nsymbol.lamda = 3.0\n"),
+    ("matrix", "n = 9\nbc = XY\n"),
+    ("semigroup", "n = 9\nbc = DD\ntimes = 0.1, abc\n"),
+    ("convergence", "n_list = 9, 19\nexit.kind = XY\n"),
+], ids=["fractional_n", "tempered_scale", "tempered_resolvent",
+        "tempered_exit", "tempered_convergence", "unknown_key", "unknown_bc",
+        "text_in_times", "unknown_exit_kind"])
+def test_config_value_outside_key_table_is_config_error(tmp_path, command,
+                                                        body, capsys):
+    cfg = write_cfg(tmp_path, body)
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_convergence_dnstar_runs_grid_nstar_d(tmp_path):
+    cfg = write_cfg(tmp_path, "exit.kind = DNstar\n")
+    out = tmp_path / "cv"
+    assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "report_convergence.json").read_text())
+    assert rep["params"]["grid_pair"] == "N*D"
+    assert rep["all_pass"]
+
+
+def test_checked_config_reads_only_table_keys(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, "n = 9\nbc = DN\n"), kind="matrix")
+    assert cfg["n"] == 9 and cfg.get("j_max", 64) == 64
+    with pytest.raises(ConfigError):
+        cfg["h"]
+    for read in (lambda: cfg["nope"], lambda: cfg.get("nope"),
+                 lambda: "nope" in cfg):
+        with pytest.raises(KeyError):
+            read()
+
+
+def test_report_params_echo_values_as_parsed(tmp_path):
+    cfg = write_cfg(tmp_path, "n = 5\nbc = N*D\nh = 1\n")
+    out = tmp_path / "v"
+    assert main(["validate", "--config", str(cfg), "--out", str(out),
+                 "--seed", "77"]) == 0
+    rep = json.loads((out / "report_validate.json").read_text())
+    assert rep["params"]["bc"] == "N*D"
+    assert rep["params"]["h"] == 1 and isinstance(rep["params"]["h"], int)
+    assert rep["params"]["seed"] == 77 and rep["seed"] == 77
+    assert [m["name"] for m in rep["metrics"]][0] == "N*D_max_abs_row_sum"
