@@ -133,7 +133,6 @@ def run_validate(cfg: Config, out: Path) -> ComparisonReport:
                 v["row_sum_tol"])
         rep.add_flag(f"{lab}_sign_pattern", v["offdiag_ok"] and v["diag_ok"])
         rep.add_flag(f"{lab}_holding_rates", v["holding_ok"])
-    rep.write(out / "validate_report.json")
     return rep
 
 

@@ -18,8 +18,9 @@ against silent format drift.  Example::
 value must have: a whole number, a finite real, text, a label from a fixed
 set, or a list of one of these (a single value is a list of one).
 `load_config` checks every key and value against it and returns a `Config`;
-an unknown key, a value of the wrong type and, when a runner reads it, a
-missing key are `ConfigError`s.
+an unknown key, a value of the wrong type, `symbol.lambda` without
+`symbol.kind = tempered_stable` and, when a runner reads it, a missing key
+are `ConfigError`s.
 """
 
 from __future__ import annotations
@@ -123,6 +124,11 @@ class Config:
                 self._values[key] = check(value)
             except ValueError as exc:
                 raise ConfigError(f"{key} = {value!r}: expected {exc}") from None
+        if ("symbol.lambda" in self._values
+                and self._values.get("symbol.kind") != "tempered_stable"):
+            # the stable symbol has no tempering; it must not drop one
+            raise ConfigError("symbol.lambda needs symbol.kind = "
+                              "tempered_stable")
 
     def __contains__(self, key) -> bool:
         return self._known(key) in self._values

@@ -72,11 +72,12 @@ def reentry_table(c: GrunwaldCoeffs, m_below: int = 3000,
     """Cumulative first-entry law used by the ladder completions.
 
     mode "greens" derives the law from the truncated transient Green row
-    (:func:`ratemat.landing_law`): head entries are accurate to
-    O(1/sqrt(m_below)) but entries with j approaching m_below are biased low,
-    because the occupation that feeds them sits near the cut.  Use it when
-    the landing law itself is the quantity under test and must not be
-    assumed.
+    (:func:`ratemat.landing_law`), which the lattice scale function W gives
+    by one recursion over the weights in O(m_below) memory: head entries are
+    accurate to O(1/sqrt(m_below)) but entries with j approaching m_below
+    are biased low, because the occupation that feeds them sits near the
+    cut.  It does not assume the tail identity below, so use it when the
+    landing law itself is the quantity under test.
 
     mode "tails" uses the exact partial-sum identity z_j = T_{j+1}/G_0 of the
     stored weights: exact across the whole table.  Use it when the simulated

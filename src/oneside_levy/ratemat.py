@@ -10,12 +10,13 @@ beyond the right end, a finite sum for every symbol (see build_restricted).
 The module also provides the half-line matrix of the chain stopped on its
 first visit to the upper lattice, resolvent solves against its transpose, its
 exact absorption law (the vanishing-discount limit of beta times those
-resolvents), the walk's first-entry law (solved on two views of the band, with
-no stopped generator built), matrix semigroups, stationary vectors and mean
-absorption times.  Every system is upper Hessenberg: one O(n^2) Gaussian
-elimination, which pivots between adjacent rows, factors it in place, and a
-transpose is solved through trans=1 on the same factor.  An entry below the
-subdiagonal, a zero pivot or a non-finite solution raises a named error.
+resolvents), the walk's first-entry law (from the lattice scale function W of
+the skip-free walk: one triangular recursion and one convolution, O(m) memory,
+no matrix), matrix semigroups, stationary vectors and mean absorption times.
+Every system is upper Hessenberg: one O(n^2) Gaussian elimination, which
+pivots between adjacent rows, factors it in place, and a transpose is solved
+through trans=1 on the same factor.  An entry below the subdiagonal, a zero
+pivot or a non-finite solution raises a named error.
 
 A semigroup row e_{i0} exp(tQ) comes from shift-and-invert Arnoldi on
 (I - gamma Q^T)^{-1}, gamma proportional to t, started from e_{i0}.  One
@@ -319,17 +320,41 @@ def ergodic_limit_z(Q_stopped: RateMatrix, beta_sequence: Sequence[float]):
     return limit, beta * resolvent_transpose_e(Q_stopped, beta, row)
 
 
+def _lattice_scale(g: np.ndarray, count: int) -> np.ndarray:
+    """W(1..count), the q = 0 lattice scale function of the free walk.
+
+    The walk moves down by at most one cell, so W(s) = 0 for s <= 0,
+    W(1) = 1/G_0 and sum_{k>=0} G_k W(s+1-k) = 0 for s >= 1: one
+    triangular recursion over the weights, O(count) memory and no matrix
+    (Mijatovic, Vidmar & Jacka, SPA 2015; Avram & Vidmar, AAP 2019).  The
+    chain's Green functions and exit laws are written in W: the DD interior
+    block A has (-A)^{-1}[i, j] = W(s) W(n+1-y)/W(n+1) - W(s-y) in the
+    mirrored indices s = n+1-i, y = n+1-j.  Needs len(g) >= count."""
+    w = np.empty(count)
+    w[0] = 1.0 / g[0]
+    rev = g[count - 1: 0: -1].copy()         # rev[i] = G_{count-1-i}
+    for s in range(1, count):
+        w[s] = -(rev[count - 1 - s:] @ w[:s]) / g[0]
+    return w
+
+
 def landing_law(c: GrunwaldCoeffs, m_below: int, j_cap: int) -> np.ndarray:
     """First-entry law into levels >= 1 for the free walk started at level 0.
 
     The absorption law of the chain stopped above level 0 and truncated
     below -m_below, over levels 1..j_cap (z[0] = 0); the mass beyond j_cap
-    and the truncation leak, O(1/m_below^(alpha-1)), go to z[j_cap].  The
-    solve runs on views of the free-walk band and builds no stopped generator.
+    and the truncation leak, O(1/m_below^(alpha-1)), go to z[j_cap].  With
+    levels -m_below..0 numbered r = 0..m_below, the Green row from level 0
+    is W(r+1) / (G_0 W(m_below+2)) (W from _lattice_scale, whose recursion
+    at s = m_below + 1 is the balance of the last column), and
+    z_k = sum_r green_r G_{m_below+k+1-r} is one convolution: O(m_below +
+    j_cap) memory, no stopped generator and no dense solve.
     """
-    V = _free_rows(c.g, m_below + 1, _stopped_span(c, m_below, j_cap))
+    size = _stopped_span(c, m_below, j_cap)
+    w = _lattice_scale(c.g, m_below + 2)
+    green = w[:-1] / (c.g[0] * w[-1])
     z = np.zeros(j_cap + 1)
-    z[1:] = _absorption_law(V[:, :-j_cap], V[:, -j_cap:], m_below)
+    z[1:] = np.convolve(c.g[2: size + 1], green, mode="valid")
     total = z.sum()
     if not 0.5 < total <= 1.0 + 1e-9:
         raise SingularSystemError(f"landing law mass {total:g} implausible")

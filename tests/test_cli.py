@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from oneside_levy.cli import main
-from oneside_levy.config import ConfigError, load_config, parse_config_text
+from oneside_levy.config import (Config, ConfigError, load_config,
+                                 parse_config_text)
 
 
 BASE = """
@@ -49,7 +50,9 @@ def test_matrix_and_validate(tmp_path):
     out = tmp_path / "m"
     assert main(["matrix", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "matrix_NsD_9.csv").exists()
+    out = tmp_path / "v"
     assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["report_validate.json"]
     rep = json.loads((out / "report_validate.json").read_text())
     names = {m["name"] for m in rep["metrics"]}
     assert "N*D_holding_rates" in names
@@ -233,9 +236,12 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     ("matrix", "n = 9\nbc = XY\n"),
     ("semigroup", "n = 9\nbc = DD\ntimes = 0.1, abc\n"),
     ("convergence", "n_list = 9, 19\nexit.kind = XY\n"),
+    ("matrix", "n = 9\nbc = DN\nsymbol.lambda = 3\n"),
+    ("scale", "symbol.lambda = 3\nm = 200\n"),
 ], ids=["fractional_n", "tempered_scale", "tempered_resolvent",
         "tempered_exit", "tempered_convergence", "unknown_key", "unknown_bc",
-        "text_in_times", "unknown_exit_kind"])
+        "text_in_times", "unknown_exit_kind", "lambda_under_stable",
+        "lambda_under_stable_scale"])
 def test_config_value_outside_key_table_is_config_error(tmp_path, command,
                                                         body, capsys):
     cfg = write_cfg(tmp_path, body)
@@ -262,6 +268,9 @@ def test_checked_config_reads_only_table_keys(tmp_path):
                  lambda: "nope" in cfg):
         with pytest.raises(KeyError):
             read()
+    # a tempering with the symbol kind left out, which means stable
+    with pytest.raises(ConfigError, match="symbol.lambda"):
+        Config({"kind": "matrix", "symbol.lambda": 3.0})
 
 
 def test_report_params_echo_values_as_parsed(tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from oneside_levy import ratemat
 from oneside_levy.errors import (GridMismatchError, NonConvergenceError,
@@ -255,9 +256,10 @@ def test_landing_law_rejects_bad_spans(stable_exp):
             landing_law(c, m_below, j_cap)
 
 
-def test_landing_law_builds_no_stopped_generator(stable_exp):
-    # the dense 4025-level stopped generator alone is 124 MiB; the factor's
-    # copy of the 3001-level transient block is 69 MiB
+def test_landing_law_runs_in_linear_memory(stable_exp):
+    # the W recursion and one convolution hold a few vectors of length
+    # m_below + j_cap (about 0.1 MiB here); the dense factor of the
+    # 3001-level transient block alone was 69 MiB
     c = compute_coeffs(stable_exp, 0.2, 8192)
     tracemalloc.start()
     try:
@@ -265,7 +267,65 @@ def test_landing_law_builds_no_stopped_generator(stable_exp):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2 ** 20
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("alpha, lam", [(1.5, 0.0), (1.3, 0.7)])
+def test_lattice_scale_gives_the_dd_green_matrix(alpha, lam):
+    n = 79
+    exp = LaplaceExponent(LevyMeasureSpec.tempered_stable(alpha, lam))
+    c = coeffs_for_n(exp, n)
+    Q = build_restricted(c, n, BoundaryPair.from_label("DD"))
+    green = np.linalg.inv(-Q.Q[1: n + 1, 1: n + 1])
+    # W[n + k] = W(k) for k = -n..n+1, zero for k <= 0
+    W = np.concatenate((np.zeros(n + 1), ratemat._lattice_scale(c.g, n + 1)))
+    s = n + 1 - np.arange(1, n + 1)          # mirrored index of states 1..n
+    from_w = (np.outer(W[n + s], W[2 * n + 1 - s]) / W[2 * n + 1]
+              - W[n + s[:, None] - s[None, :]])
+    rel = np.abs(from_w - green) / np.max(np.abs(green), axis=1)[:, None]
+    assert np.max(rel) <= 1e-13
+
+
+def _dense_landing_law(c, m_below, j_cap):
+    """The absorption law by the Hessenberg solve on views of the free-walk
+    band, before any lumping (test oracle)."""
+    V = ratemat._free_rows(c.g, m_below + 1,
+                           ratemat._stopped_span(c, m_below, j_cap))
+    return ratemat._absorption_law(V[:, :-j_cap], V[:, -j_cap:], m_below)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(alpha=st.floats(1.05, 1.95),
+       lam=st.just(0.0) | st.floats(0.1, 3.0),
+       h=st.sampled_from([0.02, 0.2, 1.0]),
+       m_below=st.integers(1, 3000),
+       j_cap=st.integers(1, 1024))
+@example(alpha=1.5, lam=0.0, h=0.2, m_below=3000, j_cap=1024)
+@example(alpha=1.3, lam=3.0, h=0.2, m_below=3000, j_cap=1024)
+def test_landing_law_matches_the_dense_solve(alpha, lam, h, m_below, j_cap):
+    exp = LaplaceExponent(LevyMeasureSpec.tempered_stable(alpha, lam))
+    c = compute_coeffs(exp, h, m_below + j_cap + 1)
+    dense = _dense_landing_law(c, m_below, j_cap)
+    total = dense.sum()
+    if not 0.5 < total <= 1.0 + 1e-9:
+        with pytest.raises(SingularSystemError):
+            landing_law(c, m_below, j_cap)
+        return
+    z = landing_law(c, m_below, j_cap)
+    dense[-1] += max(0.0, 1.0 - total)
+    assert z[0] == 0.0
+    assert np.max(np.abs(z[1:] - dense)) <= 1e-12 * np.max(dense)
+
+
+def test_landing_law_near_alpha_one_raises_named_error():
+    # at alpha 1.01 the walk truncated 3000 levels down enters level >= 1
+    # with probability 0.0697 only: no plausible law, and no silent one
+    c = compute_coeffs(LaplaceExponent(LevyMeasureSpec.stable(1.01)), 0.2,
+                       4100)
+    assert _dense_landing_law(c, 3000, 1024).sum() == pytest.approx(
+        0.0697, abs=1e-4)
+    with pytest.raises(SingularSystemError):
+        landing_law(c, 3000, 1024)
 
 
 def test_semigroup_row_basics(stable_exp):
