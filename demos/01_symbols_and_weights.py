@@ -34,7 +34,7 @@ print(f"  sign pattern: G_0 > 0, G_1 < 0, rest >= 0 -> "
 print(f"  series sums to zero: residual {abs(c.g.sum() + c.tail[-1]):.2e}")
 
 print("\n== independent extraction from the power series ==")
-est = verify_coeffs_cauchy(exp, 1.0, 32, radius=0.95, n_nodes=2048)
+est, _ = verify_coeffs_cauchy(exp, 1.0, 32, radius=0.95, n_nodes=2048)
 rel = np.max(np.abs(est - c.g[:33]) / np.abs(c.g[:33]))
 print(f"  circle-sampling route agrees with the closed form to {rel:.2e}")
 

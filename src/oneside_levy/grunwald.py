@@ -141,13 +141,17 @@ def _moment_weights(exp: LaplaceExponent, h: float, j_max: int) -> np.ndarray:
 
 
 def verify_coeffs_cauchy(exp: LaplaceExponent, h: float, j_max: int,
-                         radius: float, n_nodes: int | None = None) -> np.ndarray:
+                         radius: float, n_nodes: int | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Independent weight extraction by discrete Fourier inversion.
 
     Samples xi -> psi((1-xi)/h) on the circle |xi| = radius and reads the
     series coefficients off the FFT.  The radius trades roundoff (small r
     amplifies noise by r^-j) against aliasing from the branch point at xi = 1;
-    agreement with :func:`compute_coeffs` is the oracle check.
+    agreement with :func:`compute_coeffs` is the oracle check.  Returns the
+    estimates of G_0..G_{j_max} and a bound on their own roundoff,
+    eps log2(n_nodes) max|psi| r^-j over the samples: once the weights decay
+    geometrically (tempered symbols) it exceeds any fixed relative error.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
@@ -164,4 +168,7 @@ def verify_coeffs_cauchy(exp: LaplaceExponent, h: float, j_max: int,
     j = np.arange(j_max + 1)
     # undersampled calls wrap around (that is the aliasing warned about)
     picked = np.take(coef, j, mode="wrap")
-    return picked.real * radius ** (-j.astype(float))
+    amplify = radius ** (-j.astype(float))
+    roundoff = (np.finfo(float).eps * math.log2(n_nodes)
+                * float(np.max(np.abs(samples))) * amplify)
+    return picked.real * amplify, roundoff

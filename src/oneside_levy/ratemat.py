@@ -8,11 +8,11 @@ row 1 and the right columns follow the boundary pair (kill D, fast-forward N,
 reflect N*), and under ND the corner Q[1, n+1] collects the re-entries killed
 beyond the right end, a finite sum for every symbol (see build_restricted).
 The module also provides the half-line matrix of the chain stopped on its
-first visit to the upper lattice, resolvent solves against its transpose, its
-exact absorption law (the vanishing-discount limit of beta times those
-resolvents), the walk's first-entry law (from the lattice scale function W of
-the skip-free walk: one triangular recursion and one convolution, O(m) memory,
-no matrix), matrix semigroups, stationary vectors and mean absorption times.
+first visit to the upper lattice, resolvent solves against its transpose, the
+walk's first-entry law above level 0 (from the lattice scale function W of the
+skip-free walk: one triangular recursion and one convolution, O(m) memory, no
+matrix), which is also the vanishing-discount limit of beta times those
+resolvents, matrix semigroups, stationary vectors and mean absorption times.
 Every system is upper Hessenberg: one O(n^2) Gaussian elimination, which
 pivots between adjacent rows, factors it in place, and a transpose is solved
 through trans=1 on the same factor.  An entry below the subdiagonal, a zero
@@ -260,15 +260,6 @@ def resolvent_transpose_e(Q: RateMatrix, beta: float, i0: int) -> np.ndarray:
     return _factor(Q.Q, -1.0, beta)(rhs, trans=1)
 
 
-def _absorption_law(B: np.ndarray, upper: np.ndarray, row: int):
-    """Absorption law over the upper levels of a chain started in transient
-    state row: the Green row e_row (-B)^{-1} of the transient block B times
-    upper, the rates into those levels.  Mass lost elsewhere is missing."""
-    e = np.zeros(B.shape[0])
-    e[row] = 1.0
-    return _factor(B, -1.0)(e, trans=1) @ upper
-
-
 def stopped_resolvent_profile(exp: LaplaceExponent, c: GrunwaldCoeffs,
                               beta: float, index_lo: int, index_hi: int) -> np.ndarray:
     """Analytic resolvent of the transposed stopped generator at e_0.
@@ -303,20 +294,22 @@ def stopped_resolvent_profile(exp: LaplaceExponent, c: GrunwaldCoeffs,
 def ergodic_limit_z(Q_stopped: RateMatrix, beta_sequence: Sequence[float]):
     """Vanishing-discount limit of beta * resolvent at the stopping source.
 
-    The limit is the exact absorption law of the stopped chain started at
-    level 0 (one solve; 0 on the transient levels index_lo..0).  The betas
-    serve only for raw, the smallest beta times its resolvent, which is
-    O(beta) away from the limit.  Returns (limit, raw).
+    The limit is the absorption law of the stopped chain started at level 0:
+    0 on the transient levels index_lo..0, above them the law of _first_entry
+    from the lattice scale function W of the matrix's weights (no solve).
+    The betas serve only for raw, the smallest beta times its resolvent,
+    which is O(beta) away from the limit.  Returns (limit, raw).
     """
-    if Q_stopped.bc != "stopped-truncated":
-        raise ValueError("the absorption law needs a stopped matrix")
+    if Q_stopped.bc != "stopped-truncated" or Q_stopped.coeffs is None:
+        raise ValueError("the absorption law needs a stopped matrix and its "
+                         "weights")
     beta = min(beta_sequence)
     if beta <= 0.0:
         raise ValueError("betas must be positive")
     row = Q_stopped.state_index(0)
-    Q, t = Q_stopped.Q, row + 1
     limit = np.zeros(Q_stopped.size)
-    limit[t:] = _absorption_law(Q[:t, :t], Q[:t, t:], row)
+    limit[row + 1:] = _first_entry(Q_stopped.coeffs, row,
+                                   Q_stopped.size - row - 1)
     return limit, beta * resolvent_transpose_e(Q_stopped, beta, row)
 
 
@@ -338,23 +331,28 @@ def _lattice_scale(g: np.ndarray, count: int) -> np.ndarray:
     return w
 
 
+def _first_entry(c: GrunwaldCoeffs, m_below: int, k_above: int) -> np.ndarray:
+    """Law over levels 1..k_above where the walk from level 0, truncated
+    below -m_below, first enters levels >= 1; the mass landing beyond k_above
+    or leaking below -m_below is missing.  Numbering levels -m_below..0 as
+    r = 0..m_below, the Green row from level 0 is W(r+1) / (G_0 W(m_below+2))
+    (_lattice_scale's recursion at s = m_below + 1 is the balance of the last
+    column), and z_k = sum_r green_r G_{m_below+k+1-r} is one convolution:
+    O(m_below + k_above) memory, no stopped generator and no dense solve."""
+    size = _stopped_span(c, m_below, k_above)
+    w = _lattice_scale(c.g, m_below + 2)
+    green = w[:-1] / (c.g[0] * w[-1])
+    return np.convolve(c.g[2: size + 1], green, mode="valid")
+
+
 def landing_law(c: GrunwaldCoeffs, m_below: int, j_cap: int) -> np.ndarray:
     """First-entry law into levels >= 1 for the free walk started at level 0.
 
-    The absorption law of the chain stopped above level 0 and truncated
-    below -m_below, over levels 1..j_cap (z[0] = 0); the mass beyond j_cap
-    and the truncation leak, O(1/m_below^(alpha-1)), go to z[j_cap].  With
-    levels -m_below..0 numbered r = 0..m_below, the Green row from level 0
-    is W(r+1) / (G_0 W(m_below+2)) (W from _lattice_scale, whose recursion
-    at s = m_below + 1 is the balance of the last column), and
-    z_k = sum_r green_r G_{m_below+k+1-r} is one convolution: O(m_below +
-    j_cap) memory, no stopped generator and no dense solve.
+    _first_entry's law over levels 1..j_cap (z[0] = 0); the mass beyond j_cap
+    and the truncation leak, O(1/m_below^(alpha-1)), go to z[j_cap].
     """
-    size = _stopped_span(c, m_below, j_cap)
-    w = _lattice_scale(c.g, m_below + 2)
-    green = w[:-1] / (c.g[0] * w[-1])
     z = np.zeros(j_cap + 1)
-    z[1:] = np.convolve(c.g[2: size + 1], green, mode="valid")
+    z[1:] = _first_entry(c, m_below, j_cap)
     total = z.sum()
     if not 0.5 < total <= 1.0 + 1e-9:
         raise SingularSystemError(f"landing law mass {total:g} implausible")

@@ -53,7 +53,7 @@ def test_criterion_01_weight_oracle(exp, binom_oracle):
     sign_ok = True
     for h in (1.0, 0.5, 0.1):
         c = compute_coeffs(exp, h, 64)
-        est = verify_coeffs_cauchy(exp, h, 64, radius=0.95, n_nodes=4096)
+        est, _ = verify_coeffs_cauchy(exp, h, 64, radius=0.95, n_nodes=4096)
         worst_rel = max(worst_rel,
                         float(np.max(np.abs(est - c.g) / np.abs(c.g))))
         scale = abs(c.g[1])

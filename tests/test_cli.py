@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from oneside_levy import grunwald
 from oneside_levy.cli import main
 from oneside_levy.config import (Config, ConfigError, load_config,
                                  parse_config_text)
@@ -43,6 +44,34 @@ def test_coeffs_command(tmp_path):
     assert lines[1].startswith("0,1,")
     rep = json.loads((out / "report_coeffs.json").read_text())
     assert rep["all_pass"] and rep["schema_version"] == 1
+
+
+TEMPERED = "symbol.kind = tempered_stable\nsymbol.lambda = 0.7\nh = 0.5\n"
+
+
+def test_coeffs_gate_allows_the_cauchy_roundoff(tmp_path):
+    # tempered weights decay geometrically, and at j = 64 the Cauchy
+    # estimate's own roundoff is 7e-4 of G_j: right weights must pass
+    cfg = write_cfg(tmp_path, TEMPERED)
+    out = tmp_path / "out"
+    assert main(["coeffs", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("body", ["h = 0.5\n", TEMPERED], ids=["stable",
+                                                                "tempered"])
+@pytest.mark.parametrize("j", [2, 8])
+def test_coeffs_gate_catches_a_wrong_weight(tmp_path, monkeypatch, body, j):
+    compute_coeffs = grunwald.compute_coeffs
+
+    def off_by_1e6(*args):
+        c = compute_coeffs(*args)
+        c.g[j] *= 1.0 + 1e-6
+        return c
+
+    monkeypatch.setattr(grunwald, "compute_coeffs", off_by_1e6)
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["coeffs", "--config", str(cfg), "--out", str(out)]) == 1
 
 
 def test_matrix_and_validate(tmp_path):

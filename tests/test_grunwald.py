@@ -91,13 +91,13 @@ def test_landing_law_normalisation(coeffs_h1, binom_oracle):
 
 
 def test_cauchy_oracle_stable(stable_exp, coeffs_h1):
-    est = verify_coeffs_cauchy(stable_exp, 1.0, 12, radius=0.5)
+    est, _ = verify_coeffs_cauchy(stable_exp, 1.0, 12, radius=0.5)
     rel = np.abs(est - coeffs_h1.g[:13]) / np.abs(coeffs_h1.g[:13])
     assert np.max(rel) < 1e-8
 
 
 def test_cauchy_node_count_contract(stable_exp, coeffs_h1):
-    est = verify_coeffs_cauchy(stable_exp, 1.0, 64, radius=0.95, n_nodes=4 * 64)
+    est, _ = verify_coeffs_cauchy(stable_exp, 1.0, 64, radius=0.95, n_nodes=4 * 64)
     rel = np.abs(est - coeffs_h1.g[:65]) / np.abs(coeffs_h1.g[:65])
     assert np.max(rel) < 1e-6
     with pytest.warns(UserWarning):
@@ -107,8 +107,27 @@ def test_cauchy_node_count_contract(stable_exp, coeffs_h1):
 def test_tempered_closed_form_vs_cauchy():
     texp = LaplaceExponent(LevyMeasureSpec.tempered_stable(1.5, 2.0))
     c = compute_coeffs(texp, 0.5, 48)
-    est = verify_coeffs_cauchy(texp, 0.5, 20, radius=0.8)
+    est, _ = verify_coeffs_cauchy(texp, 0.5, 20, radius=0.8)
     assert np.max(np.abs(est - c.g[:21])) < 1e-10 * abs(c.g[1])
+
+
+@pytest.mark.parametrize("alpha, lam, h", [(1.5, 0.7, 0.5), (1.3, 3.0, 0.2),
+                                           (1.05, 2.0, 0.02)])
+def test_tempered_weights_match_the_binomial_oracle(alpha, lam, h):
+    # G_j = h^-alpha (1 + lam h)^(alpha - j) (-1)^j binom(alpha, j), j >= 2,
+    # in 50 digits; the Cauchy estimate meets them only up to its roundoff
+    # bound, which r^-j lifts far above 1e-8 |G_j| as the weights decay
+    texp = LaplaceExponent(LevyMeasureSpec.tempered_stable(alpha, lam))
+    c = compute_coeffs(texp, h, 64)
+    with mp.workdps(50):
+        oracle = [float(mp.mpf(h) ** -alpha
+                        * (1 + lam * mp.mpf(h)) ** (alpha - j)
+                        * (-1) ** j * mp.binomial(alpha, j))
+                  for j in range(2, 65)]
+    assert np.max(np.abs(c.g[2:] / oracle - 1.0)) <= 1e-13
+    est, roundoff = verify_coeffs_cauchy(texp, h, 64, radius=0.95,
+                                         n_nodes=4096)
+    assert np.all(np.abs(est - c.g) <= 1e-8 * np.abs(c.g) + roundoff)
 
 
 def test_custom_measure_moment_route_vs_closed_form():
@@ -123,7 +142,7 @@ def test_custom_measure_moment_route_vs_closed_form():
 def test_custom_measure_cauchy_route():
     cexp = LaplaceExponent(tempered_custom(1.5, 2.0))
     cc = compute_coeffs(cexp, 0.5, 8)
-    est = verify_coeffs_cauchy(cexp, 0.5, 8, radius=0.6, n_nodes=64)
+    est, _ = verify_coeffs_cauchy(cexp, 0.5, 8, radius=0.6, n_nodes=64)
     assert np.max(np.abs(est - cc.g)) < 1e-6 * abs(cc.g[1])
 
 

@@ -182,11 +182,9 @@ def test_ergodic_limit_small_system(stable_exp):
     assert z[i(2)] == pytest.approx(0.125, abs=2e-3)
     assert abs(raw[i(1)] - 0.5) < 5e-3
     # the limit is the absorption law: exactly 0 on the transient levels,
-    # and landing_law's law before it lumps the missing mass into j_cap
+    # and above them the first-entry law that landing_law lumps into j_cap
     assert not z[: i(0) + 1].any()
-    landing = landing_law(c, 800, 8)
-    landing[8] -= 1.0 - z.sum()
-    assert np.max(np.abs(z[i(1):] - landing[1:])) <= 1e-14
+    assert np.array_equal(z[i(1):], ratemat._first_entry(c, 800, 8))
 
 
 def test_discounted_resolvent_approaches_the_limit(stable_exp):
@@ -204,6 +202,9 @@ def test_ergodic_limit_rejects_bad_input(stable_exp, coeffs_h1):
     Q = build_stopped(coeffs_h1, 12, 12)
     with pytest.raises(ValueError):
         ergodic_limit_z(Q, [0.0])
+    without_weights = RateMatrix(Q=Q.Q, h=Q.h, bc=Q.bc, index_lo=Q.index_lo)
+    with pytest.raises(ValueError):
+        ergodic_limit_z(without_weights, [1e-3])
     restricted = build_restricted(coeffs_for_n(stable_exp, 9), 9,
                                   BoundaryPair.from_label("DD"))
     with pytest.raises(ValueError):
@@ -286,12 +287,21 @@ def test_lattice_scale_gives_the_dd_green_matrix(alpha, lam):
     assert np.max(rel) <= 1e-13
 
 
+def _absorption_law(B, upper, row):
+    """Absorption law over the upper levels of a chain started in transient
+    state row: the Green row e_row (-B)^{-1} of the transient block B times
+    upper, the rates into those levels.  Mass lost elsewhere is missing."""
+    e = np.zeros(B.shape[0])
+    e[row] = 1.0
+    return ratemat._factor(B, -1.0)(e, trans=1) @ upper
+
+
 def _dense_landing_law(c, m_below, j_cap):
     """The absorption law by the Hessenberg solve on views of the free-walk
     band, before any lumping (test oracle)."""
     V = ratemat._free_rows(c.g, m_below + 1,
                            ratemat._stopped_span(c, m_below, j_cap))
-    return ratemat._absorption_law(V[:, :-j_cap], V[:, -j_cap:], m_below)
+    return _absorption_law(V[:, :-j_cap], V[:, -j_cap:], m_below)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -315,6 +325,27 @@ def test_landing_law_matches_the_dense_solve(alpha, lam, h, m_below, j_cap):
     dense[-1] += max(0.0, 1.0 - total)
     assert z[0] == 0.0
     assert np.max(np.abs(z[1:] - dense)) <= 1e-12 * np.max(dense)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(alpha=st.floats(1.05, 1.95),
+       lam=st.just(0.0) | st.floats(0.1, 3.0),
+       h=st.sampled_from([0.02, 0.2, 1.0]),
+       m_below=st.integers(1, 2000),
+       k_above=st.integers(1, 300))
+@example(alpha=1.5, lam=0.0, h=0.1, m_below=1000, k_above=200)
+def test_ergodic_limit_matches_the_dense_solve(alpha, lam, h, m_below,
+                                                k_above):
+    # the limit comes from the lattice scale function W; the dense solve on
+    # the stopped matrix's transient block is its oracle
+    exp = LaplaceExponent(LevyMeasureSpec.tempered_stable(alpha, lam))
+    c = compute_coeffs(exp, h, m_below + k_above + 1)
+    Q = build_stopped(c, m_below, k_above)
+    z, _ = ergodic_limit_z(Q, [1e-3])
+    t = Q.state_index(0) + 1
+    dense = _absorption_law(Q.Q[:t, :t], Q.Q[:t, t:], t - 1)
+    assert not z[:t].any()
+    assert np.max(np.abs(z[t:] - dense)) <= 1e-12 * np.max(dense)
 
 
 def test_landing_law_near_alpha_one_raises_named_error():

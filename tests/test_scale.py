@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oneside_levy import scale
+from oneside_levy import ratemat, scale
 from oneside_levy.errors import NonConvergenceError, RangeExceededError
+from oneside_levy.grunwald import compute_coeffs
 from oneside_levy.scale import (ScaleGrid, ScaleKit, cumulative_integral,
                                 frac_integral_grid, gaver_stehfest_W,
                                 mean_exit, mittag_leffler)
+from oneside_levy.symbol import LaplaceExponent, LevyMeasureSpec
 
 ALPHA = 1.5
 
@@ -349,3 +351,30 @@ def test_gaver_stehfest_stable():
     with pytest.raises(ValueError):
         gaver_stehfest_W(lambda s: s ** 1.5, 1.0, order=13)
     assert gaver_stehfest_W(lambda s: s ** 1.5, 0.0) == 0.0
+
+
+def test_grid_nd_resolvent_converges_to_scale_dn():
+    # Under x_scale = 1 - x_grid the grid ND chain is the scale-side DN
+    # problem.  At q > 0 the interior mass of the row e_{i0} (qI - Q)^{-1}
+    # is mass_DN(x), and 1 - q * mass is the exit transform exit_laplace_DN.
+    q = 0.5
+    exp = LaplaceExponent(LevyMeasureSpec.stable(ALPHA))
+    ns = (79, 159, 319, 639, 1279)
+    mass_err, exit_err = [], []
+    for n in ns:
+        c = compute_coeffs(exp, 2.0 / (n + 1), 4 * (n + 1))
+        Q = ratemat.build_restricted(c, n, ratemat.BoundaryPair.from_label("ND"))
+        i0 = (n + 1) // 2
+        x = 1.0 - float(Q.grid[i0])
+        mass = float(ratemat.resolvent_transpose_e(Q, q, i0)[1: n + 1].sum())
+        kit = ScaleKit(ScaleGrid(a=2.0, m=n + 1, alpha=ALPHA, q=q))
+        closed_mass = kit.mass_DN(x)
+        closed_exit = kit.exit_laplace_DN(x)
+        mass_err.append(abs(mass - closed_mass) / closed_mass)
+        exit_err.append(abs(1.0 - q * mass - closed_exit) / closed_exit)
+    hs = np.log([2.0 / (n + 1) for n in ns])
+    print(f"fitted orders: mass {np.polyfit(hs, np.log(mass_err), 1)[0]:.2f},"
+          f" exit {np.polyfit(hs, np.log(exit_err), 1)[0]:.2f}")
+    assert all(b < a for a, b in zip(mass_err, mass_err[1:])), mass_err
+    assert all(b < a for a, b in zip(exit_err, exit_err[1:])), exit_err
+    assert mass_err[-1] <= 5e-4 and exit_err[-1] <= 4e-4
