@@ -54,6 +54,14 @@ class GrunwaldCoeffs:
         """Rate of leaving any interior grid point, -G_1."""
         return -float(self.g[1])
 
+    @property
+    def ladder(self) -> np.ndarray:
+        """Ladder law z_1..z_{j_max}, z_k = T_{k+1}/G_0: where the walk
+        started at level 0 first lands above it, k cells up.  G(x)/(1 - x)
+        = G_0 (1 - sum_k z_k x^k), so 1/G(x), the generating function of the
+        lattice scale function W, is the renewal of this law."""
+        return self.tail[2:] / self.g[0]
+
 
 def compute_coeffs(exp: LaplaceExponent, h: float, j_max: int) -> GrunwaldCoeffs:
     """Expand psi((1-xi)/h) to order j_max.

@@ -14,8 +14,8 @@ two exact reductions:
   (translation invariance plus the strong Markov property), each drawn from
   a cumulative first-entry table.  The caller builds it with
   :func:`reentry_table` in the mode it chooses (the landing law of
-  :func:`ratemat.landing_law`, or the exact tail identity) and passes it in;
-  the engine never builds one itself.
+  :func:`ratemat.landing_law`, or the exact ladder law of the weights) and
+  passes it in; the engine never builds one itself.
 
 Shallow below-barrier excursions (the overwhelming majority) are simulated
 step by step; only excursions longer than EXC_BUDGET steps fall back to the
@@ -72,24 +72,23 @@ def reentry_table(c: GrunwaldCoeffs, m_below: int = 3000,
     """Cumulative first-entry law used by the ladder completions.
 
     mode "greens" derives the law from the truncated transient Green row
-    (:func:`ratemat.landing_law`), which the lattice scale function W gives
-    by one recursion over the weights in O(m_below) memory: head entries are
+    (:func:`ratemat.landing_law`), which the lattice scale function W, the
+    renewal of the ladder law, gives in O(m_below) memory: head entries are
     accurate to O(1/sqrt(m_below)) but entries with j approaching m_below
     are biased low, because the occupation that feeds them sits near the
     cut.  It does not assume the tail identity below, so use it when the
     landing law itself is the quantity under test.
 
-    mode "tails" uses the exact partial-sum identity z_j = T_{j+1}/G_0 of the
-    stored weights: exact across the whole table.  Use it when the simulated
-    chain is the tool rather than the claim (semigroup marginals, exit
-    times), where any landing mass at or beyond the interval top is handled
-    identically anyway.
+    mode "tails" reads the ladder law of the stored weights
+    (:attr:`GrunwaldCoeffs.ladder`): exact across the whole table.  Use it
+    when the simulated chain is the tool rather than the claim (semigroup
+    marginals, exit times), where any landing mass at or beyond the interval
+    top is handled identically anyway.
     """
     if mode == "tails":
         if c.j_max < j_cap + 2:
             raise ValueError("j_max too small for the requested table")
-        z = np.asarray(c.tail[2: j_cap + 2]) / c.g[0]
-        cum = np.minimum(np.cumsum(z), 1.0)
+        cum = np.minimum(np.cumsum(c.ladder[:j_cap]), 1.0)
     elif mode == "greens":
         cum = np.cumsum(landing_law(c, m_below, j_cap)[1:])
     else:
@@ -163,6 +162,8 @@ def first_transition_mc(c: GrunwaldCoeffs, n_samples: int, seed: int,
     until the mapped path first moves, landings the number of cells gained by
     that move (>= 1).
     """
+    if reentry_cum is None:
+        raise ValueError("a left fast-forwarded boundary needs reentry_cum")
     # a right barrier no single move reaches: a step gains at most j_max - 1
     # cells and a ladder completion lands at most len(reentry_cum) + 1
     n = max(c.j_max, len(reentry_cum) + 1)

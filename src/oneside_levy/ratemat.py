@@ -10,9 +10,10 @@ beyond the right end, a finite sum for every symbol (see build_restricted).
 The module also provides the half-line matrix of the chain stopped on its
 first visit to the upper lattice, resolvent solves against its transpose, the
 walk's first-entry law above level 0 (from the lattice scale function W of the
-skip-free walk: one triangular recursion and one convolution, O(m) memory, no
-matrix), which is also the vanishing-discount limit of beta times those
-resolvents, matrix semigroups, stationary vectors and mean absorption times.
+skip-free walk, the renewal of its ladder law, and one convolution: O(m)
+memory, no matrix), which is also the vanishing-discount limit of beta times
+those resolvents, matrix semigroups, stationary vectors and mean absorption
+times.
 Every system is upper Hessenberg: one O(n^2) Gaussian elimination, which
 pivots between adjacent rows, factors it in place, and a transpose is solved
 through trans=1 on the same factor.  An entry below the subdiagonal, a zero
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -264,31 +266,25 @@ def stopped_resolvent_profile(exp: LaplaceExponent, c: GrunwaldCoeffs,
                               beta: float, index_lo: int, index_hi: int) -> np.ndarray:
     """Analytic resolvent of the transposed stopped generator at e_0.
 
-    Entry at level m is exp(h*(m-1)*b)/G_0 for m <= 0 and, above the stopping
-    line, (1/(beta*G_0)) sum_{k>=m} G_{k+1} exp(h*(m-1-k)*b), where b solves
-    varphi(b) = beta.  Series are summed until terms fall below 1e-18 of the
-    head.
+    With b solving varphi(b) = beta and rho = exp(-h b), the entry at level
+    m is rho^(1-m)/G_0 for m <= 0 and, above the stopping line,
+    rho H_m/(beta G_0), where H_m = sum_{j>m} G_j rho^(j-m-1) over the
+    stored weights.  One backward recurrence H_{m-1} = G_m + rho H_m from
+    H_{j_max} = 0 gives every H_m, adding nonnegative terms only.  A level at
+    or above j_max reads no stored weight, so index_hi < j_max is required.
     """
-    b = exp.varphi_inverse(c.h, beta)
-    h = c.h
-    g0 = c.g[0]
-    out = np.empty(index_hi - index_lo + 1)
-    decay = math.exp(-h * b)
-    for m in range(index_lo, min(0, index_hi) + 1):
-        out[m - index_lo] = math.exp(h * (m - 1) * b) / g0
-    for m in range(max(1, index_lo), index_hi + 1):
-        acc = 0.0
-        w = math.exp(h * (m - 1 - m) * b)    # k = m term weight
-        k = m
-        while k <= c.j_max - 1:
-            term = c.g[k + 1] * w
-            acc += term
-            if abs(term) < 1e-18 * max(abs(acc), 1e-300) and k > m + 8:
-                break
-            w *= decay
-            k += 1
-        out[m - index_lo] = acc / (beta * g0)
-    return out
+    if beta <= 0.0:
+        raise ValueError(f"beta must be > 0, got {beta}")
+    if not index_lo <= index_hi < c.j_max:
+        raise ValueError(f"need index_lo <= index_hi < j_max = {c.j_max}, "
+                         f"got {index_lo} and {index_hi}")
+    rho = math.exp(-c.h * exp.varphi_inverse(c.h, beta))
+    low = np.arange(index_lo, min(index_hi, 0) + 1)
+    # H_{j_max-1} = G_{j_max}, ..., H_1; reversed, H[m-1] = H_m
+    H = list(accumulate(c.g[:1:-1].tolist(), lambda acc, g_m: g_m + rho * acc))
+    high = np.array(H[::-1][max(index_lo, 1) - 1: max(index_hi, 0)])
+    return np.concatenate((rho ** (1 - low) / c.g[0],
+                           high * (rho / (beta * c.g[0]))))
 
 
 def ergodic_limit_z(Q_stopped: RateMatrix, beta_sequence: Sequence[float]):
@@ -313,22 +309,25 @@ def ergodic_limit_z(Q_stopped: RateMatrix, beta_sequence: Sequence[float]):
     return limit, beta * resolvent_transpose_e(Q_stopped, beta, row)
 
 
-def _lattice_scale(g: np.ndarray, count: int) -> np.ndarray:
+def _lattice_scale(c: GrunwaldCoeffs, count: int) -> np.ndarray:
     """W(1..count), the q = 0 lattice scale function of the free walk.
 
     The walk moves down by at most one cell, so W(s) = 0 for s <= 0,
-    W(1) = 1/G_0 and sum_{k>=0} G_k W(s+1-k) = 0 for s >= 1: one
-    triangular recursion over the weights, O(count) memory and no matrix
-    (Mijatovic, Vidmar & Jacka, SPA 2015; Avram & Vidmar, AAP 2019).  The
-    chain's Green functions and exit laws are written in W: the DD interior
-    block A has (-A)^{-1}[i, j] = W(s) W(n+1-y)/W(n+1) - W(s-y) in the
-    mirrored indices s = n+1-i, y = n+1-j.  Needs len(g) >= count."""
-    w = np.empty(count)
-    w[0] = 1.0 / g[0]
-    rev = g[count - 1: 0: -1].copy()         # rev[i] = G_{count-1-i}
-    for s in range(1, count):
-        w[s] = -(rev[count - 1 - s:] @ w[:s]) / g[0]
-    return w
+    W(1) = 1/G_0 and sum_{k>=0} G_k W(s+1-k) = 0 for s >= 1, i.e. W has the
+    generating function 1/G (Mijatovic, Vidmar & Jacka, SPA 2015; Avram &
+    Vidmar, AAP 2019).  That is the renewal of the ladder law z (see
+    GrunwaldCoeffs.ladder): W = cumsum(u)/G_0 with u_0 = 1 and
+    u_r = sum_{k=1..r} z_k u_{r-k}, sums of nonnegative terms only, O(count)
+    memory and no matrix.  The chain's Green functions and exit laws are
+    written in W: the DD interior block A has (-A)^{-1}[i, j] =
+    W(s) W(n+1-y)/W(n+1) - W(s-y) in the mirrored indices s = n+1-i,
+    y = n+1-j.  Needs c.j_max >= count - 1."""
+    u = np.empty(count)
+    u[0] = 1.0
+    rev = c.ladder[: count - 1][::-1].copy()    # rev[i] = z_{count-1-i}
+    for r in range(1, count):
+        u[r] = rev[count - 1 - r:] @ u[:r]
+    return np.cumsum(u) / c.g[0]
 
 
 def _first_entry(c: GrunwaldCoeffs, m_below: int, k_above: int) -> np.ndarray:
@@ -336,11 +335,11 @@ def _first_entry(c: GrunwaldCoeffs, m_below: int, k_above: int) -> np.ndarray:
     below -m_below, first enters levels >= 1; the mass landing beyond k_above
     or leaking below -m_below is missing.  Numbering levels -m_below..0 as
     r = 0..m_below, the Green row from level 0 is W(r+1) / (G_0 W(m_below+2))
-    (_lattice_scale's recursion at s = m_below + 1 is the balance of the last
-    column), and z_k = sum_r green_r G_{m_below+k+1-r} is one convolution:
+    (W's balance at s = m_below + 1 is that of the last column), and
+    z_k = sum_r green_r G_{m_below+k+1-r} is one convolution:
     O(m_below + k_above) memory, no stopped generator and no dense solve."""
     size = _stopped_span(c, m_below, k_above)
-    w = _lattice_scale(c.g, m_below + 2)
+    w = _lattice_scale(c, m_below + 2)
     green = w[:-1] / (c.g[0] * w[-1])
     return np.convolve(c.g[2: size + 1], green, mode="valid")
 

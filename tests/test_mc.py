@@ -182,6 +182,8 @@ def test_absorption_guard(coeffs, monkeypatch):
     with pytest.raises(ValueError, match="reentry_cum"):
         mapped_process_mc(coeffs, BoundaryPair.from_label("ND"), N, 5, 10,
                           seed=1, probe_times=(0.1,))
+    with pytest.raises(ValueError, match="reentry_cum"):
+        first_transition_mc(coeffs, 10, seed=1, reentry_cum=None)
 
 
 @pytest.mark.parametrize("i0", [N + 1, N + 2, 0, -1])

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oneside_levy import ratemat
 from oneside_levy.errors import (GridMismatchError, NonConvergenceError,
@@ -161,6 +162,47 @@ def test_stopped_resolvent_against_profile(stable_exp):
     assert x[lo] / x[lo + 1] == pytest.approx(math.exp(-h * b), rel=1e-10)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(alpha=st.floats(1.05, 1.95),
+       lam=st.just(0.0) | st.floats(0.1, 3.0),
+       h=st.sampled_from([0.02, 0.2, 1.0]),
+       beta=st.sampled_from([0.1, 1.0, 10.0, 100.0]),
+       m_below=st.integers(1, 1000),
+       k_above=st.integers(1, 200))
+def test_stopped_resolvent_profile_matches_the_dense_solve(
+        alpha, lam, h, beta, m_below, k_above):
+    # the truncation below -m_below moves levels >= -m_below/2 by about
+    # rho^(m_below/2), rho = exp(-h b); keep the draws where that is below
+    # rounding
+    exp = LaplaceExponent(LevyMeasureSpec.tempered_stable(alpha, lam))
+    rho = math.exp(-h * exp.varphi_inverse(h, beta))
+    assume(rho ** (m_below / 2) < 1e-17)
+    c = compute_coeffs(exp, h, m_below + k_above + 1)
+    Q = build_stopped(c, m_below, k_above)
+    x = resolvent_transpose_e(Q, beta, Q.state_index(0))
+    y = stopped_resolvent_profile(exp, c, beta, -m_below, k_above)
+    keep = Q.state_index(-(m_below // 2))
+    assert np.max(np.abs(x[keep:] - y[keep:])) <= 1e-13 * np.max(y)
+
+
+def test_stopped_resolvent_profile_rejects_bad_input(stable_exp, coeffs_h1):
+    j_max = coeffs_h1.j_max
+    for beta, lo, hi in ((0.0, -5, 5), (-1.0, -5, 5), (1.0, -5, j_max),
+                         (1.0, -5, j_max + 10), (1.0, 3, 2)):
+        with pytest.raises(ValueError):
+            stopped_resolvent_profile(stable_exp, coeffs_h1, beta, lo, hi)
+    # the last level a stored weight reaches, and spans on one side of 0
+    top = stopped_resolvent_profile(stable_exp, coeffs_h1, 1.0, -5, j_max - 1)
+    assert top[-1] > 0.0
+    both = stopped_resolvent_profile(stable_exp, coeffs_h1, 1.0, -5, 5)
+    assert np.array_equal(
+        stopped_resolvent_profile(stable_exp, coeffs_h1, 1.0, -5, -1),
+        both[:5])
+    assert np.array_equal(
+        stopped_resolvent_profile(stable_exp, coeffs_h1, 1.0, 2, 5),
+        both[7:])
+
+
 def test_resolvent_large_beta_neumann(stable_exp, coeffs_h1):
     Q = build_stopped(coeffs_h1, 12, 12)
     i0 = Q.state_index(0)
@@ -279,12 +321,47 @@ def test_lattice_scale_gives_the_dd_green_matrix(alpha, lam):
     Q = build_restricted(c, n, BoundaryPair.from_label("DD"))
     green = np.linalg.inv(-Q.Q[1: n + 1, 1: n + 1])
     # W[n + k] = W(k) for k = -n..n+1, zero for k <= 0
-    W = np.concatenate((np.zeros(n + 1), ratemat._lattice_scale(c.g, n + 1)))
+    W = np.concatenate((np.zeros(n + 1), ratemat._lattice_scale(c, n + 1)))
     s = n + 1 - np.arange(1, n + 1)          # mirrored index of states 1..n
     from_w = (np.outer(W[n + s], W[2 * n + 1 - s]) / W[2 * n + 1]
               - W[n + s[:, None] - s[None, :]])
     rel = np.abs(from_w - green) / np.max(np.abs(green), axis=1)[:, None]
     assert np.max(rel) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+def test_lattice_scale_matches_the_stable_closed_form(alpha):
+    # 1/G(x) = h^alpha (1 - x)^-alpha: W(s) = Gamma(s-1+alpha) /
+    # (Gamma(alpha) Gamma(s) G_0).  The renewal adds nonnegative terms only;
+    # the mixed-sign recursion it replaced was off by 2.1e-9 at alpha 1.95
+    count = 20_000
+    c = compute_coeffs(LaplaceExponent(LevyMeasureSpec.stable(alpha)), 0.2,
+                       count)
+    W = ratemat._lattice_scale(c, count)
+    s = np.unique(np.concatenate((np.geomspace(1, count, 30),
+                                  np.linspace(1, count, 30))).astype(int))
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        rel = max(abs(mp.mpf(W[k - 1]) * mp.gamma(a) * mp.gamma(k)
+                      * mp.mpf(c.g[0]) / mp.gamma(k - 1 + a) - 1) for k in s)
+    assert rel <= 5e-11
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(alpha=st.floats(1.02, 1.99),
+       lam=st.just(0.0) | st.floats(0.1, 3.0),
+       h=st.sampled_from([0.02, 0.2, 1.0]),
+       count=st.integers(2, 3000))
+def test_lattice_scale_solves_its_balance(alpha, lam, h, count):
+    # sum_k G_k W(s+1-k) = 0 for s >= 1, to rounding of the sum's terms
+    c = compute_coeffs(
+        LaplaceExponent(LevyMeasureSpec.tempered_stable(alpha, lam)), h,
+        count)
+    W = ratemat._lattice_scale(c, count)
+    assert W[0] == 1.0 / c.g[0]
+    balance = np.convolve(c.g[:count], W)[1:count]
+    terms = np.convolve(np.abs(c.g[:count]), np.abs(W))[1:count]
+    assert np.all(np.abs(balance) <= ratemat._EPS * count * terms)
 
 
 def _absorption_law(B, upper, row):

@@ -353,28 +353,83 @@ def test_gaver_stehfest_stable():
     assert gaver_stehfest_W(lambda s: s ** 1.5, 0.0) == 0.0
 
 
+_NS = (79, 159, 319, 639, 1279)
+_DISCOUNT = 0.5
+
+
+def _grid_and_scale(n, label):
+    """Matrix of pair label at n, middle state i0, its scale-side point
+    x = 1 - x_grid, the kit on [0, 2] with cells of the grid's mesh, and the
+    interior states of the middle three quarters, whose scale nodes are the
+    grid's reversed."""
+    exp = LaplaceExponent(LevyMeasureSpec.stable(ALPHA))
+    c = compute_coeffs(exp, 2.0 / (n + 1), 4 * (n + 1))
+    Q = ratemat.build_restricted(c, n, ratemat.BoundaryPair.from_label(label))
+    i0 = (n + 1) // 2
+    kit = ScaleKit(ScaleGrid(a=2.0, m=n + 1, alpha=ALPHA, q=_DISCOUNT))
+    mid = slice((n + 1) // 8, 7 * (n + 1) // 8 + 1)
+    return Q, i0, 1.0 - float(Q.grid[i0]), kit, mid
+
+
+def _density_error(row, dens, h, mid):
+    """Sup distance of row/h from dens (given on the grid's states) over the
+    middle states, relative to the density's maximum."""
+    return float(np.max(np.abs(row[mid] / h - dens[mid])) / np.max(dens))
+
+
+def _assert_converges(name, errs, bound):
+    """Strict decrease over _NS and errs[-1] <= bound; the fitted order is
+    printed, not gated."""
+    order = np.polyfit(np.log([2.0 / (n + 1) for n in _NS]), np.log(errs), 1)[0]
+    print(f"{name}: {errs[0]:.3g} -> {errs[-1]:.3g}, fitted order {order:.2f}")
+    assert all(b < a for a, b in zip(errs, errs[1:])), (name, errs)
+    assert errs[-1] <= bound, (name, errs)
+
+
 def test_grid_nd_resolvent_converges_to_scale_dn():
     # Under x_scale = 1 - x_grid the grid ND chain is the scale-side DN
     # problem.  At q > 0 the interior mass of the row e_{i0} (qI - Q)^{-1}
-    # is mass_DN(x), and 1 - q * mass is the exit transform exit_laplace_DN.
-    q = 0.5
-    exp = LaplaceExponent(LevyMeasureSpec.stable(ALPHA))
-    ns = (79, 159, 319, 639, 1279)
-    mass_err, exit_err = [], []
-    for n in ns:
-        c = compute_coeffs(exp, 2.0 / (n + 1), 4 * (n + 1))
-        Q = ratemat.build_restricted(c, n, ratemat.BoundaryPair.from_label("ND"))
-        i0 = (n + 1) // 2
-        x = 1.0 - float(Q.grid[i0])
-        mass = float(ratemat.resolvent_transpose_e(Q, q, i0)[1: n + 1].sum())
-        kit = ScaleKit(ScaleGrid(a=2.0, m=n + 1, alpha=ALPHA, q=q))
+    # is mass_DN(x), 1 - q * mass is the exit transform exit_laplace_DN, and
+    # the row divided by h is the density resolvent_density_DN
+    mass_err, exit_err, dens_err = [], [], []
+    for n in _NS:
+        Q, i0, x, kit, mid = _grid_and_scale(n, "ND")
+        row = ratemat.resolvent_transpose_e(Q, _DISCOUNT, i0)
+        mass = float(row[1: n + 1].sum())
         closed_mass = kit.mass_DN(x)
         closed_exit = kit.exit_laplace_DN(x)
         mass_err.append(abs(mass - closed_mass) / closed_mass)
-        exit_err.append(abs(1.0 - q * mass - closed_exit) / closed_exit)
-    hs = np.log([2.0 / (n + 1) for n in ns])
-    print(f"fitted orders: mass {np.polyfit(hs, np.log(mass_err), 1)[0]:.2f},"
-          f" exit {np.polyfit(hs, np.log(exit_err), 1)[0]:.2f}")
-    assert all(b < a for a, b in zip(mass_err, mass_err[1:])), mass_err
-    assert all(b < a for a, b in zip(exit_err, exit_err[1:])), exit_err
-    assert mass_err[-1] <= 5e-4 and exit_err[-1] <= 4e-4
+        exit_err.append(abs(1.0 - _DISCOUNT * mass - closed_exit) / closed_exit)
+        dens_err.append(_density_error(
+            row, kit.resolvent_density_DN(x)[::-1], Q.h, mid))
+    _assert_converges("ND mass", mass_err, 5e-4)
+    _assert_converges("ND exit transform", exit_err, 4e-4)
+    _assert_converges("ND density", dens_err, 7e-3)
+
+
+def test_grid_nn_resolvent_converges_to_scale_nn():
+    # Both ends fast-forwarded.  The grid row keeps its mass 1/q, and so does
+    # mass_NN = Z_q(x)/q - int_0^x W_q in exact arithmetic: the mass leg
+    # measures the quadrature of int W_q, the density leg the chain itself
+    mass_err, dens_err = [], []
+    for n in _NS:
+        Q, i0, x, kit, mid = _grid_and_scale(n, "NN")
+        row = ratemat.resolvent_transpose_e(Q, _DISCOUNT, i0)
+        closed_mass = kit.mass_NN(x)
+        mass_err.append(abs(float(row[1: n + 1].sum()) - closed_mass)
+                        / closed_mass)
+        dens_err.append(_density_error(
+            row, kit.resolvent_density_NN(x)[::-1], Q.h, mid))
+    _assert_converges("NN mass", mass_err, 5e-8)
+    _assert_converges("NN density", dens_err, 5e-3)
+
+
+def test_grid_nstar_d_mean_exit_converges_to_scale_dnstar():
+    # reflection at the grid's left end is reflection at a = 2 on the scale
+    # side, killing at its right end is killing at 0
+    errs = []
+    for n in _NS:
+        Q, i0, x, _, _ = _grid_and_scale(n, "N*D")
+        closed = mean_exit("DNstar", x, 2.0, ALPHA)
+        errs.append(abs(ratemat.mean_absorption(Q, i0) - closed) / closed)
+    _assert_converges("N*D mean exit", errs, 1e-3)
